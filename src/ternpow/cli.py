@@ -115,6 +115,41 @@ def _parse_lambda(text: str) -> DyadicRational:
     return DyadicRational.from_pair(num, exp)
 
 
+def _parse_offset(text: str) -> Fraction:
+    """argparse type for --offset: a decimal or A/B with B nonzero."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            a, b = text.split("/", 1)
+            return Fraction(int(a), int(b))
+        if re.match(r"^\d+\.\d+$", text):
+            return Fraction(text)
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"offset must be a decimal or A/B with B nonzero, got {text!r}"
+        ) from None
+
+
+def _parse_criteria(text: str) -> list[int]:
+    """argparse type for verify --only: known criterion numbers, at least one."""
+    count = len(acceptance.ALL_CRITERIA)
+    try:
+        numbers = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"criteria must be comma-separated integers, got {text!r}"
+        ) from None
+    if not numbers:
+        raise argparse.ArgumentTypeError("no criteria selected")
+    unknown = [n for n in numbers if not 1 <= n <= count]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown criteria {unknown}; criteria are numbered 1..{count}"
+        )
+    return numbers
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract wants 1."""
 
@@ -176,7 +211,12 @@ def _build_parser() -> _Parser:
         help="arc-length spectrum of the rotation orbit at N points",
     )
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--offset", default="0", help="orbit offset x (decimal or A/B)")
+    p.add_argument(
+        "--offset",
+        type=_parse_offset,
+        default="0",
+        help="orbit offset x (decimal or A/B)",
+    )
     p.add_argument("--brute-check", action="store_true")
     p.add_argument("--prec", type=int, default=DEFAULT_GAP_PRECISION)
 
@@ -241,6 +281,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--only",
+        type=_parse_criteria,
         default=None,
         metavar="1,2,...",
         help="comma-separated criterion numbers to run",
@@ -305,18 +346,8 @@ def _cmd_cf(args, config: RunConfig) -> str:
     )
 
 
-def _parse_offset(text: str):
-    text = text.strip()
-    if "/" in text:
-        a, b = text.split("/", 1)
-        return Fraction(int(a), int(b))
-    if re.match(r"^\d+\.\d+$", text):
-        return Fraction(text)
-    return Fraction(int(text))
-
-
 def _cmd_three_gap(args, config: RunConfig) -> str:
-    offset = _parse_offset(args.offset)
+    offset = args.offset
     depth = 14
     cf = cf_log3_2(depth)
     while cf.q(cf.depth) + cf.q(cf.depth - 1) <= args.N:
@@ -463,10 +494,7 @@ def _cmd_export_automaton(args, config: RunConfig) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    numbers = None
-    if args.only:
-        numbers = [int(x) for x in args.only.split(",") if x.strip()]
-    results = acceptance.run_all(numbers)
+    results = acceptance.run_all(args.only)
     lines = [r.line() for r in results]
     failed = [r.number for r in results if not r.passed]
     if failed:
@@ -478,9 +506,10 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def dispatch(argv: list[str]) -> tuple[str, int]:
     """Run one command; returns (stdout text, exit code)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run(_build_parser().parse_args(argv))
 
+
+def _run(args) -> tuple[str, int]:
     config = RunConfig(
         precision_cap=precision_cap(args.precision_cap),
         state_limit=args.state_limit,
@@ -532,7 +561,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     t0 = time.perf_counter()
     try:
-        text, code = dispatch(argv)
+        args = _build_parser().parse_args(argv)
+        text, code = _run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (TernpowError, ValueError, OverflowError) as exc:
@@ -540,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(text)
     print(
-        f"# {argv[0] if argv else ''} finished in {time.perf_counter() - t0:.2f}s",
+        f"# {args.command} finished in {time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
     return code

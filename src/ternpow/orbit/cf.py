@@ -1,28 +1,22 @@
 """Exact continued fraction of log3(2).
 
-Partial quotients come from a subtractive ladder over numbers of the form
-2^i * 3^j: each quotient is the largest m with B^m <= A, decided by the sign
-of an integer combination of log 2 and log 3.  Small combinations compare as
-literal big integers; deep ones go through certified interval enclosures, so
-no decision ever rests on unchecked floating point.
+Every partial quotient comes from one certified enclosure lo < log3(2) < hi
+with exact rational endpoints.  The Euclidean algorithm runs on both
+endpoints in lockstep, in integer arithmetic; a quotient is accepted only
+while the two endpoints agree on it.  The reals sharing a continued-fraction
+prefix form an interval, so a prefix shared by lo and hi is shared by every
+real between them, log3(2) included.  When the endpoints part before the
+requested depth, the enclosure is recomputed at doubled precision.  Each
+accepted quotient therefore settles the same exact question the classical
+ladder asks, which power 2^i * 3^j is larger, without building either power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from ..precision import compare_power3_power2
-
-
-def _sign_pow23(i: int, j: int, what: str = "") -> int:
-    """Exact sign of i*log(2) + j*log(3), i.e. of 2^i * 3^j - 1."""
-    if i >= 0 and j >= 0:
-        return 1 if (i or j) else 0
-    if i <= 0 and j <= 0:
-        return -1 if (i or j) else 0
-    if j > 0:
-        return compare_power3_power2(j, -i)
-    return -compare_power3_power2(-j, i)
+from ..precision import alpha0_iv, escalate, iv_endpoints
 
 
 @dataclass(frozen=True)
@@ -76,42 +70,54 @@ class CFExpansion:
         return self.convergents[n][1]
 
 
+def _shared_quotients(lo: Fraction, hi: Fraction, count: int) -> list[int]:
+    """Leading partial quotients (at most ``count``) common to lo and hi."""
+    n1, d1 = lo.numerator, lo.denominator
+    n2, d2 = hi.numerator, hi.denominator
+    out: list[int] = []
+    while len(out) < count and d1 and d2:
+        a = n1 // d1
+        if a != n2 // d2:
+            break
+        out.append(a)
+        n1, d1 = d1, n1 - a * d1
+        n2, d2 = d2, n2 - a * d2
+    return out
+
+
 def cf_log3_2(depth: int) -> CFExpansion:
     """First ``depth`` partial quotients (beyond a0 = 0) of log3(2).
 
-    The ladder state is a pair A > B > 1, both of the form 2^i * 3^j, with
-    the current remainder equal to log_B(A); the next quotient is
-    floor(log_B(A)), found by exponential-then-binary search on exact sign
-    tests.
+    Precision starts at 256 bits and doubles, up to the precision cap, until
+    the enclosure is narrow enough for its endpoints to share depth + 1
+    quotients.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    quotients = [0]
-    # A = 3 = 2^0 3^1, B = 2 = 2^1 3^0: remainder log_2(3)
-    iA, jA = 0, 1
-    iB, jB = 1, 0
 
-    def cmp_Bm_A(m: int) -> int:
-        # sign of B^m - A
-        return _sign_pow23(m * iB - iA, m * jB - jA)
+    def attempt(prec: int) -> list[int] | None:
+        lo, hi = iv_endpoints(alpha0_iv(prec))
+        quotients = _shared_quotients(lo, hi, depth + 1)
+        return quotients if len(quotients) > depth else None
 
-    for _ in range(depth):
-        hi = 1
-        while cmp_Bm_A(hi) <= 0:
-            hi *= 2
-        lo = hi // 2  # B^lo <= A < B^hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cmp_Bm_A(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        a = lo
-        quotients.append(a)
-        iA, jA, iB, jB = iB, jB, iA - a * iB, jA - a * jB
-        if iB == 0 and jB == 0:
-            raise ArithmeticError("remainder vanished; the target is rational")
+    quotients = escalate(attempt, what=f"continued fraction of log3(2) to depth {depth}")
     return CFExpansion.from_quotients(quotients)
+
+
+def _lemma22_holds(qn: int, qn1: int) -> bool:
+    """Exact qn^10 <= 1200^10 * qn1^133, from bit lengths when they decide.
+
+    With 2^(b-1) <= qn < 2^b, 2^(c-1) <= qn1 < 2^c and 2^10 < 1200 < 2^11,
+    the left side lies in [2^(10b-10), 2^(10b)) and the right side in
+    (2^(100+133c-133), 2^(110+133c)); the literal powers are built only
+    when those ranges overlap.
+    """
+    b, c = qn.bit_length(), qn1.bit_length()
+    if 10 * b <= 100 + 133 * (c - 1):
+        return True
+    if 10 * (b - 1) >= 110 + 133 * c:
+        return False
+    return qn**10 <= 1200**10 * qn1**133
 
 
 def check_lemma22(cf: CFExpansion) -> list[bool]:
@@ -122,8 +128,4 @@ def check_lemma22(cf: CFExpansion) -> list[bool]:
     """
     if cf.depth < 1:
         raise ValueError("need at least two convergents")
-    out = []
-    for n in range(1, cf.depth + 1):
-        qn, qn1 = cf.q(n), cf.q(n - 1)
-        out.append(qn**10 <= 1200**10 * qn1**133)
-    return out
+    return [_lemma22_holds(cf.q(n), cf.q(n - 1)) for n in range(1, cf.depth + 1)]

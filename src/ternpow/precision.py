@@ -8,6 +8,10 @@ precision doubles up to a configurable cap.  Quantities that are exactly
 representable (integers, dyadic rationals) enter the intervals exactly, so
 an escalation loop can only stall on a genuine tie, which callers rule out
 arithmetically before asking.
+
+Questions about log3(2) itself, such as which of 3^p and 2^q is larger,
+read the exact rational endpoints of a single enclosure lo < log3(2) < hi
+and finish in integer arithmetic: no power of 3 or 2 is ever built.
 """
 
 from __future__ import annotations
@@ -213,24 +217,26 @@ def certified_ceil(
 def compare_power3_power2(p: int, q: int, *, cap: int | None = None) -> int:
     """Exact sign of 3^p - 2^q.
 
-    Small exponents compare as literal big integers.  Large exponents (the
-    deep continued-fraction convergents make the literal powers astronomically
-    wide) compare through a certified enclosure of p*log(3) - q*log(2), which
-    is nonzero for every (p, q) != (0, 0) since no power of 3 equals a power
-    of 2.
+    3^p - 2^q has the sign of p - q*log3(2), which is nonzero for every
+    (p, q) != (0, 0) since no power of 3 equals a power of 2.  Given an
+    enclosure lo < log3(2) < hi, the exact tests p > q*hi and p < q*lo
+    (bounds swapped for negative q) decide it; precision doubles until one
+    of them holds.
     """
     if p == 0 and q == 0:
         return 0
-    if max(p * 2, q) <= 1 << 21:  # literal powers stay under ~0.5 MB
-        a = 3**p
-        b = 1 << q
-        return (a > b) - (a < b)
 
-    def make(prec: int):
-        with iv_prec(prec):
-            return p * iv.log(3) - q * iv.log(2)
+    def attempt(prec: int) -> int | None:
+        lo, hi = iv_endpoints(alpha0_iv(prec))
+        if q < 0:
+            lo, hi = hi, lo
+        if p * hi.denominator > q * hi.numerator:
+            return 1
+        if p * lo.denominator < q * lo.numerator:
+            return -1
+        return None
 
-    return certified_sign(make, what=f"sign(3^{p} - 2^{q})", cap=cap)
+    return escalate(attempt, cap=cap, what=f"sign(3^{p} - 2^{q})")
 
 
 def ulp(x, prec: int):

@@ -5,9 +5,68 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath import iv
 
 from ternpow import CFExpansion, cf_log3_2, check_lemma22
-from ternpow.precision import alpha0_iv, iv_endpoints
+from ternpow.errors import PrecisionError
+from ternpow.orbit.cf import _lemma22_holds
+from ternpow.precision import alpha0_iv, certified_sign, iv_endpoints, iv_prec
+
+
+def _ladder_sign(p: int, q: int) -> int:
+    """Reference sign of 3^p - 2^q for p, q >= 0: literal powers while they
+    stay small, else a per-call enclosure of p*log(3) - q*log(2)."""
+    if p == 0 and q == 0:
+        return 0
+    if max(2 * p, q) <= 1 << 21:
+        a, b = 3**p, 1 << q
+        return (a > b) - (a < b)
+
+    def make(prec):
+        with iv_prec(prec):
+            return p * iv.log(3) - q * iv.log(2)
+
+    return certified_sign(make)
+
+
+def _ladder_cf_log3_2(depth: int) -> tuple[int, ...]:
+    """Reference quotients from the subtractive power-comparison ladder.
+
+    The state is a pair A > B > 1 of numbers 2^i * 3^j with remainder
+    log_B(A); each quotient is the largest m with B^m <= A, found by
+    exponential-then-binary search on exact signs of 2^i * 3^j - 1.
+    """
+
+    def sign(i: int, j: int) -> int:  # sign of 2^i * 3^j - 1
+        if i >= 0 and j >= 0:
+            return 1 if (i or j) else 0
+        if i <= 0 and j <= 0:
+            return -1 if (i or j) else 0
+        return _ladder_sign(j, -i) if j > 0 else -_ladder_sign(-j, i)
+
+    quotients = [0]
+    iA, jA, iB, jB = 0, 1, 1, 0  # A = 3, B = 2
+    for _ in range(depth):
+        hi = 1
+        while sign(hi * iB - iA, hi * jB - jA) <= 0:
+            hi *= 2
+        lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sign(mid * iB - iA, mid * jB - jA) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        quotients.append(lo)
+        iA, jA, iB, jB = iB, jB, iA - lo * iB, jA - lo * jB
+    return tuple(quotients)
+
+
+@pytest.fixture(scope="module")
+def cf400():
+    return cf_log3_2(400)
 
 
 def test_known_partial_quotients(cf14):
@@ -90,3 +149,46 @@ def test_growth_check_is_exact_power_comparison():
     assert verdicts[1] is False
     with pytest.raises(ValueError):
         check_lemma22(CFExpansion.from_quotients((0,)))
+
+
+def test_enclosure_quotients_match_power_ladder(cf400):
+    assert cf400.partial_quotients == _ladder_cf_log3_2(400)
+    for depth in (1, 2, 5, 17):
+        assert cf_log3_2(depth).partial_quotients == _ladder_cf_log3_2(depth)
+
+
+def test_cap_frontier_at_minimum_precision(monkeypatch):
+    # a 256-bit enclosure of log3(2) certifies exactly 78 quotients
+    monkeypatch.setenv("TERNARY_PRECISION_CAP", "256")
+    assert cf_log3_2(78).depth == 78
+    with pytest.raises(PrecisionError):
+        cf_log3_2(79)
+
+
+def _lemma22_literal(qn: int, qn1: int) -> bool:
+    return qn**10 <= 1200**10 * qn1**133
+
+
+def test_growth_check_matches_literal_powers(cf400):
+    literal = [_lemma22_literal(cf400.q(n), cf400.q(n - 1)) for n in range(1, 401)]
+    assert check_lemma22(cf400) == literal
+
+
+def test_growth_check_bit_length_shortcut_at_corners():
+    # the bit-length bounds are tightest at the ends of each bit-length
+    # range, so sweep those ends across the band where b is near 13.3 * c
+    for c in range(1, 41):
+        for qn1 in (1 << (c - 1), (1 << c) - 1):
+            for b in range(max(1, 13 * c - 20), 14 * c + 21):
+                for qn in (1 << (b - 1), (1 << b) - 1):
+                    assert _lemma22_holds(qn, qn1) == _lemma22_literal(qn, qn1)
+
+
+@given(st.data())
+def test_growth_check_bit_length_shortcut_near_boundary(data):
+    # the literal fallback only runs when b is near 13.3 * c, so sample there
+    c = data.draw(st.integers(min_value=1, max_value=40))
+    b = data.draw(st.integers(min_value=max(1, 13 * c - 20), max_value=14 * c + 20))
+    qn = data.draw(st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1))
+    qn1 = data.draw(st.integers(min_value=1 << (c - 1), max_value=(1 << c) - 1))
+    assert _lemma22_holds(qn, qn1) == _lemma22_literal(qn, qn1)

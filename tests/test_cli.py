@@ -160,6 +160,37 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "FAIL" in out and "FAILED criteria: [2]" in out
 
 
+@pytest.mark.parametrize("offset", ["1/0", "abc", "1/x"])
+def test_three_gap_bad_offset_is_usage_error(offset):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ternpow.cli", "three-gap", "--N", "10", "--offset", offset],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "--offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("only", ["99", "0", ",", "", "2,99", "x"])
+def test_verify_empty_or_unknown_selection_is_usage_error(only, capsys):
+    assert main(["verify", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
+def test_footer_names_the_subcommand(capsys):
+    argv = ["--precision-cap", "256", "cf", "--depth", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == dispatch(argv)[0] + "\n"
+    assert captured.err.startswith("# cf finished in ")
+    assert "--precision-cap" not in captured.err
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["sieve"]) == 1  # missing required --max-exponent

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
+from ternpow import cf_log3_2
 from ternpow.errors import PrecisionError
 from ternpow.precision import (
     DEFAULT_PRECISION_CAP,
@@ -121,6 +122,55 @@ def test_compare_power3_power2_literal_regime():
     assert compare_power3_power2(12, 19) == 1  # 531441 > 524288
     assert compare_power3_power2(2, 4) == -1  # 9 < 16
     assert compare_power3_power2(1, 1) == 1
+
+
+def _literal_sign(p: int, q: int) -> int:
+    a, b = 3**p, 1 << q
+    return (a > b) - (a < b)
+
+
+def test_compare_power3_power2_matches_literal_near_convergents():
+    # convergents p_n/q_n of log3(2) make 3^p - 2^q as small as it gets
+    # relative to its size, so they and their neighbours are the hardest pairs
+    cf = cf_log3_2(40)
+    pairs = []
+    for n in range(cf.depth + 1):
+        p, q = cf.p(n), cf.q(n)
+        if q > 1 << 20:
+            break
+        pairs += [(p, q), (p, q + 1), (p, q - 1), (p + 1, q), (p - 1, q)]
+    assert cf.q(len(pairs) // 5) > 1 << 20  # every convergent below 2^20 is in
+    for p, q in pairs:
+        if p >= 0 and q >= 0:
+            assert compare_power3_power2(p, q) == _literal_sign(p, q), (p, q)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 15),
+    st.integers(min_value=0, max_value=1 << 16),
+)
+def test_compare_power3_power2_matches_literal_small(p, q):
+    assert compare_power3_power2(p, q) == _literal_sign(p, q)
+
+
+def test_compare_power3_power2_negative_exponents():
+    # 3^-1 < 2^0 and 3^0 > 2^-1; 3^-2 > 2^-4 because 16 > 9
+    assert compare_power3_power2(-1, 0) == -1
+    assert compare_power3_power2(0, -1) == 1
+    assert compare_power3_power2(-2, -4) == 1
+    assert compare_power3_power2(-12, -19) == -1
+
+
+def test_compare_power3_power2_deep_convergents_alternate():
+    # p_n/q_n lies above log3(2) for odd n and below for even n, so
+    # 3^p_n - 2^q_n alternates in sign; the negated pair flips it.  Deep
+    # convergents force escalation far past the starting precision.
+    cf = cf_log3_2(200)
+    for n in range(1, cf.depth + 1):
+        p, q = cf.p(n), cf.q(n)
+        expected = 1 if n % 2 else -1
+        assert compare_power3_power2(p, q) == expected, n
+        assert compare_power3_power2(-p, -q) == -expected, n
 
 
 def test_compare_power3_power2_interval_regime_consistent():
