@@ -2,8 +2,8 @@
 
 Four layers:
 
-- ternary: canonical base-3 digit vectors, dyadic rationals, digit-omission
-  counting and stepping on plain integers.
+- ternary: base-3 digits of plain integers, dyadic rationals, and
+  digit-omission tests, counting and stepping.
 - sieve: residue sieves and exact enumeration of exponents n for which
   floor(lam * 2^n) has a digit-2-free ternary expansion.
 - orbit: the continued fraction of log3(2), three-distance arc spectra,
@@ -26,19 +26,13 @@ from .errors import (
 )
 from .ternary import (
     DyadicRational,
-    TernaryNat,
     count_omitting_upto,
     digits_to_int,
-    double,
-    floor_lambda_pow2,
     floor_times_pow2,
     int_omits_digit,
     int_to_digits,
     leading_digits,
-    mul_small,
     next_omitting,
-    omits_digit,
-    pow2,
     prev_omitting,
 )
 from .sieve import (
@@ -97,7 +91,7 @@ from .cantor import (
     verify_sigma_subsets,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -108,12 +102,7 @@ __all__ = [
     "InsufficientDigits",
     "InsufficientDepth",
     # ternary
-    "TernaryNat",
     "DyadicRational",
-    "double",
-    "mul_small",
-    "pow2",
-    "omits_digit",
     "leading_digits",
     "int_to_digits",
     "digits_to_int",
@@ -122,7 +111,6 @@ __all__ = [
     "prev_omitting",
     "count_omitting_upto",
     "floor_times_pow2",
-    "floor_lambda_pow2",
     # sieve
     "PadicApprox",
     "SieveReport",

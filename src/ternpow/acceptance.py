@@ -8,7 +8,6 @@ values, so a pass is evidence, not a tautology.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .cantor import (
     trim,
     verify_sigma_subsets,
 )
+from .cantor.search import LOG3_2
 from .orbit import (
     cf_log3_2,
     check_lemma22,
@@ -43,9 +43,7 @@ from .sieve import (
     narkiewicz_check,
     residue_survivors,
 )
-from .ternary import DyadicRational, int_omits_digit, leading_digits, pow2
-
-LOG3_2 = math.log(2) / math.log(3)
+from .ternary import DyadicRational, int_omits_digit, leading_digits
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def criterion_10_construction() -> CriterionResult:
     fk = find_lk(0, 1)
     fk_ok = fk.l == 65 and fk.r == 41 and fk.scan_certified and fk.lower_bound_ok
 
-    lead = leading_digits(pow2(65), 4)
+    lead = leading_digits(1 << 65, 4)
     lead_ok = lead == "1000"
 
     st = construct_theorem12(1)

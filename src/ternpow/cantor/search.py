@@ -11,9 +11,11 @@ independent oracle and as the contract-level entry point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
-from ..ternary import int_omits_digit
+from ..precision import math_floor_log3
+from ..ternary import int_omits_digit, int_to_digits
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
@@ -32,20 +34,13 @@ LOG3_2 = math.log(2) / math.log(3)
 DEFAULT_SCAN_LIMIT = 3000
 
 
-def _ceil_log3(x: int) -> int:
-    """Smallest t >= 0 with 3^t >= x, for x >= 1."""
-    if x < 1:
-        raise ValueError("positive integer required")
-    t, p = 0, 1
-    while p < x:
-        p *= 3
-        t += 1
-    return t
-
-
 def _bound_denominator(n: int, m_max: int) -> int:
-    # N*M_k = 1 means no constraint at all: the set is the full Cantor set
-    return max(1, _ceil_log3(n * m_max))
+    """ceil(log3(N * M_k)), at least 1: the smallest t with 3^t >= N * M_k.
+
+    N * M_k = 1 means no constraint at all: the set is the full Cantor set.
+    """
+    x = n * m_max
+    return 1 if x == 1 else math_floor_log3(x - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -81,25 +76,6 @@ def _is_flush_state(carries: tuple[int, ...]) -> bool:
 
 def _flush_targets(a: CarryAutomaton) -> set[int]:
     return {i for i, c in enumerate(a.states) if _is_flush_state(c)}
-
-
-def _witness_exists(a: CarryAutomaton) -> bool:
-    """Reachability decision: some walk ends in digit 1 at a flush state."""
-    flush = _flush_targets(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            to1 = a.transitions[u][1]
-            if to1 is not None and to1 in flush:
-                return True
-            for t in a.transitions[u]:
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return False
 
 
 def _preimage(a: CarryAutomaton, digit: int, targets: set[int]) -> set[int]:
@@ -210,9 +186,7 @@ def _free_integers_ascending(n_max: int):
         t += 1
 
 
-def theorem17_search(
-    ms, n_max: int, state_limit: int = DEFAULT_STATE_LIMIT
-) -> WitnessResult:
+def theorem17_search(ms, n_max: int) -> WitnessResult:
     """Bounded ascending search for the smallest witness N <= n_max.
 
     Runs over digit-2-free N in increasing order and tests every product
@@ -229,7 +203,7 @@ def theorem17_search(
                 multipliers=mults,
                 found=True,
                 n=n,
-                digits=_ternary_digits(n),
+                digits=int_to_digits(n),
                 bound_denominator=_bound_denominator(n, mults[-1]),
                 exhausted=False,
                 checked_up_to=n_max,
@@ -243,14 +217,6 @@ def theorem17_search(
         exhausted=False,
         checked_up_to=n_max,
     )
-
-
-def _ternary_digits(n: int) -> tuple[int, ...]:
-    out = []
-    while n:
-        out.append(n % 3)
-        n //= 3
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -476,6 +442,7 @@ def scan_problems(
         return m
 
     normals = sorted({strip3(m) for m in range(1, x + 1)})
+    workers = min(workers, len(normals), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -41,7 +41,7 @@ from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
 from .orbit.gaps import DEFAULT_GAP_PRECISION, three_gap_bruteforce
 from .precision import MIN_PRECISION, precision_cap
-from .sieve import DEFAULT_RESIDUE_DEPTH, sieve_report, survivors_N, narkiewicz_check
+from .sieve import narkiewicz_check, sieve_report, survivors_N
 from .ternary import DyadicRational
 
 _INLINE_INT_LIMIT = 1 << 53
@@ -101,18 +101,43 @@ def _emit_report(command: str, config: RunConfig, results, notes: list[str]) -> 
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-_LAMBDA_RE = re.compile(r"^(\d+)(?:/2\^(\d+))?$")
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_lambda(text: str) -> DyadicRational:
-    m = _LAMBDA_RE.match(text.strip())
-    if not m:
-        raise ValueError(
-            f"lambda must look like 'A' or 'A/2^s' with integers, got {text!r}"
-        )
-    num = int(m.group(1))
-    exp = int(m.group(2)) if m.group(2) else 0
-    return DyadicRational.from_pair(num, exp)
+def _parse_dyadic(text: str) -> DyadicRational:
+    """argparse type for --lambda: a positive A, A/2^s or A/B, B a power of 2."""
+    try:
+        return DyadicRational.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"lambda must be a positive dyadic rational 'A' or 'A/2^s', "
+            f"got {text!r} ({exc})"
+        ) from None
+
+
+def _parse_multipliers(text: str) -> MultiplierSet:
+    """argparse type for --multipliers: comma-separated positive integers."""
+    try:
+        return MultiplierSet.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"multipliers must be comma-separated positive integers, "
+            f"got {text!r} ({exc})"
+        ) from None
 
 
 def _parse_offset(text: str) -> Fraction:
@@ -122,7 +147,7 @@ def _parse_offset(text: str) -> Fraction:
         if "/" in text:
             a, b = text.split("/", 1)
             return Fraction(int(a), int(b))
-        if re.match(r"^\d+\.\d+$", text):
+        if re.match(r"^-?\d+\.\d+$", text):
             return Fraction(text)
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
@@ -151,7 +176,15 @@ def _parse_criteria(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
+    """argparse exits with 2 on usage errors; the contract wants 1.
+
+    Values that look like negative numbers, including fractions such as
+    ``-1/3``, are read as option values rather than as option names.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -173,14 +206,14 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--state-limit",
-        type=int,
+        type=_int_at_least(1),
         default=1_000_000,
         help="carry-machine state guard (default 1000000)",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized policies")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_int_at_least(1),
         default=max(1, os.cpu_count() or 1),
         help="worker processes for the scan command (default: available cores)",
     )
@@ -192,11 +225,8 @@ def _build_parser() -> _Parser:
         help="exponents n with floor(lambda * 2^n) digit-2-free",
         description="CSV schema: one row per surviving exponent, column 'n'.",
     )
-    p.add_argument("--max-exponent", type=int, required=True, metavar="X")
-    p.add_argument(
-        "--residue-depth", type=int, default=DEFAULT_RESIDUE_DEPTH, metavar="K"
-    )
-    p.add_argument("--lambda", dest="lam", default=None, metavar="A/2^s")
+    p.add_argument("--max-exponent", type=_int_at_least(1), required=True, metavar="X")
+    p.add_argument("--lambda", dest="lam", type=_parse_dyadic, default=None, metavar="A/2^s")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser(
@@ -204,13 +234,13 @@ def _build_parser() -> _Parser:
         help="continued fraction of log3(2) with exact convergents",
         description="JSON only; convergents as [p, q] decimal-string pairs.",
     )
-    p.add_argument("--depth", type=int, required=True, metavar="D")
+    p.add_argument("--depth", type=_int_at_least(1), required=True, metavar="D")
 
     p = sub.add_parser(
         "three-gap",
         help="arc-length spectrum of the rotation orbit at N points",
     )
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(1), required=True)
     p.add_argument(
         "--offset",
         type=_parse_offset,
@@ -224,8 +254,8 @@ def _build_parser() -> _Parser:
         "census",
         help="leading-digit-window census for exponents up to X",
     )
-    p.add_argument("--lambda", dest="lam", required=True, metavar="A/2^s")
-    p.add_argument("--max", dest="max_x", type=int, required=True, metavar="X")
+    p.add_argument("--lambda", dest="lam", type=_parse_dyadic, required=True, metavar="A/2^s")
+    p.add_argument("--max", dest="max_x", type=_int_at_least(2), required=True, metavar="X")
 
     p = sub.add_parser(
         "construct",
@@ -242,9 +272,11 @@ def _build_parser() -> _Parser:
         "dimension",
         help="dimension enclosure for a multiplier set's admissible 3-adic set",
     )
-    p.add_argument("--multipliers", required=True, metavar="M1,M2,...")
+    p.add_argument(
+        "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
+    )
     p.add_argument("--exact-charpoly", action="store_true")
-    p.add_argument("--prefix-depth", type=int, default=60, metavar="R")
+    p.add_argument("--prefix-depth", type=_int_at_least(1), default=60, metavar="R")
 
     p = sub.add_parser(
         "scan",
@@ -252,15 +284,17 @@ def _build_parser() -> _Parser:
         description="CSV schema: one row per M with columns "
         "M,normalized_M,in_MC,in_MH,witness.",
     )
-    p.add_argument("--max-M", dest="max_m", type=int, required=True, metavar="X")
+    p.add_argument("--max-M", dest="max_m", type=_int_at_least(1), required=True, metavar="X")
     p.add_argument("--out", choices=("json", "csv"), default="json")
 
     p = sub.add_parser(
         "search-n",
         help="smallest N with N and all M*N digit-2-free",
     )
-    p.add_argument("--multipliers", required=True, metavar="M1,M2,...")
-    p.add_argument("--max-N", dest="max_n", type=int, default=10_000)
+    p.add_argument(
+        "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
+    )
+    p.add_argument("--max-N", dest="max_n", type=_int_at_least(1), default=10_000)
     p.add_argument(
         "--exact",
         action="store_true",
@@ -271,7 +305,9 @@ def _build_parser() -> _Parser:
         "export-automaton",
         help="emit the carry machine as DOT or JSON",
     )
-    p.add_argument("--multipliers", required=True, metavar="M1,M2,...")
+    p.add_argument(
+        "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
+    )
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--trim", action="store_true", help="export the trimmed machine")
 
@@ -292,12 +328,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_sieve(args, config: RunConfig) -> str:
     if args.lam is None:
-        report = sieve_report(args.max_exponent, args.residue_depth)
+        report = sieve_report(args.max_exponent)
         survivors = report.survivors
         results = report
     else:
-        lam = _parse_lambda(args.lam)
-        survivors = survivors_N(lam, args.max_exponent)
+        survivors = survivors_N(args.lam, args.max_exponent)
         results = {
             "bound": args.max_exponent,
             "lambda": str(args.lam),
@@ -377,8 +412,7 @@ def _cmd_three_gap(args, config: RunConfig) -> str:
 
 
 def _cmd_census(args, config: RunConfig) -> str:
-    lam = _parse_lambda(args.lam)
-    report = theorem11_census(lam, args.max_x)
+    report = theorem11_census(args.lam, args.max_x)
     return _emit_report(
         "census",
         config,
@@ -410,7 +444,7 @@ def _cmd_construct(args, config: RunConfig) -> str:
 
 
 def _cmd_dimension(args, config: RunConfig) -> str:
-    ms = MultiplierSet.parse(args.multipliers)
+    ms = args.multipliers
     est = hausdorff_dimension(
         ms,
         prefix_depth=args.prefix_depth,
@@ -465,11 +499,11 @@ def _cmd_scan(args, config: RunConfig) -> str:
 
 
 def _cmd_search_n(args, config: RunConfig) -> str:
-    ms = MultiplierSet.parse(args.multipliers)
+    ms = args.multipliers
     if args.exact:
         res = smallest_witness(ms, state_limit=config.state_limit)
     else:
-        res = theorem17_search(ms, args.max_n, state_limit=config.state_limit)
+        res = theorem17_search(ms, args.max_n)
     results = asdict(res)
     results["bound"] = res.bound
     if res.digits is not None:
@@ -487,7 +521,7 @@ def _cmd_search_n(args, config: RunConfig) -> str:
 
 
 def _cmd_export_automaton(args, config: RunConfig) -> str:
-    a = build_automaton(MultiplierSet.parse(args.multipliers), config.state_limit)
+    a = build_automaton(args.multipliers, config.state_limit)
     if args.trim:
         a = trim(a)
     return a.to_dot() if args.format == "dot" else a.to_json()

@@ -36,7 +36,6 @@ from ..ternary import (
     int_omits_digit,
     leading_digits,
     next_omitting,
-    pow2,
     prev_omitting,
 )
 from .cf import CFExpansion, cf_log3_2
@@ -393,7 +392,7 @@ def construct_theorem12(
         lam_new = lam + Fraction(d, 2**m)
 
         zeros = _zeros_required(m_prev, k)
-        lead = leading_digits(pow2(l), zeros + 1)
+        lead = leading_digits(1 << l, zeros + 1)
         run_zeros_ok = lead[0] == "1" and set(lead[1:]) <= {"0"}
 
         m_free = int_omits_digit(M_new, 1)

@@ -10,49 +10,15 @@ exact integer floor; no decision here depends on rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InsufficientDigits
 from ..precision import iv_endpoints, log3_iv, math_floor_log3
-from ..ternary import DyadicRational, int_omits_digit
+from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit, leading_digits
 from .cf import CFExpansion, cf_log3_2
 
 _VALID = frozenset("012")
-
-
-def _cmp_fraction_pow3(fr: Fraction, t: int) -> int:
-    """Exact sign of fr - 3^t."""
-    num, den = fr.numerator, fr.denominator
-    if t >= 0:
-        lhs, rhs = num, den * 3**t
-    else:
-        lhs, rhs = num * 3 ** (-t), den
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def floor_log3_fraction(fr: Fraction) -> int:
-    """Exact floor of log3 of a positive rational."""
-    if fr <= 0:
-        raise ValueError("log of non-positive value")
-    # float estimate from bit lengths, then exact correction
-    approx = (fr.numerator.bit_length() - fr.denominator.bit_length()) * math.log(2) / math.log(3)
-    e = int(math.floor(approx))
-    while _cmp_fraction_pow3(fr, e) < 0:
-        e -= 1
-    while _cmp_fraction_pow3(fr, e + 1) >= 0:
-        e += 1
-    return e
-
-
-def _digits_msf(value: int, k: int) -> str:
-    """Exactly k most-significant-first ternary digits of value < 3^k."""
-    out = []
-    for i in reversed(range(k)):
-        d, value = divmod(value, 3**i)
-        out.append(str(d))
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -148,21 +114,19 @@ def classify_leading(lam: DyadicRational, n: int, k: int) -> LeadingClassificati
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    v = lam.value * Fraction(2) ** n
-    e = floor_log3_fraction(v)
-    if e + 1 < k:
-        raise InsufficientDigits(f"lambda * 2^n has {e + 1} digits, need {k}")
+    # route 1: digits of the exact integer floor; leading_digits raises
+    # InsufficientDigits when it has fewer than k, as it has none when
+    # lambda * 2^n < 1
+    iv_int = floor_times_pow2(lam, n)
+    c1 = leading_digits(iv_int, k)
 
-    # route 1: digits of the exact integer floor
-    iv_int = v.numerator // v.denominator
-    top = iv_int // 3 ** (e - k + 1)
-    c1 = _digits_msf(top, k)
-
-    # route 2: window membership of the scaled value, as an exact floor
-    scaled = v / 3 ** (e - k + 1)
+    # route 2: window membership of the scaled value, as an exact floor;
+    # log3 of lambda * 2^n >= 1 and of its integer floor share their
+    # integer part
+    scaled = lam.value * Fraction(2) ** n / 3 ** (math_floor_log3(iv_int) - k + 1)
     B = scaled.numerator // scaled.denominator
     boundary = scaled.denominator == 1
-    c2 = _digits_msf(B, k)
+    c2 = leading_digits(B, k)
 
     return LeadingClassification(c1=c1, c2=c2, agree=c1 == c2, boundary=boundary)
 

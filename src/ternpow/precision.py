@@ -204,16 +204,6 @@ def certified_floor(
     return escalate(attempt, start=start, cap=cap, what=what)
 
 
-def certified_ceil(
-    make: Callable[[int], object],
-    *,
-    start: int = MIN_PRECISION,
-    cap: int | None = None,
-    what: str = "ceil",
-) -> int:
-    return -certified_floor(lambda p: -make(p), start=start, cap=cap, what=what)
-
-
 def compare_power3_power2(p: int, q: int, *, cap: int | None = None) -> int:
     """Exact sign of 3^p - 2^q.
 
@@ -266,8 +256,3 @@ def math_floor_log3(x: int) -> int:
         p *= 3
         e += 1
     return e
-
-
-def ternary_length(x: int) -> int:
-    """Number of base-3 digits of x (0 has zero digits)."""
-    return 0 if x == 0 else math_floor_log3(x) + 1

@@ -30,8 +30,8 @@ def multiplicative_order_pow2(k: int) -> int:
 class PadicApprox:
     """A 3-adic integer known through its k low-order digits.
 
-    digits are least-significant first and the length IS the precision;
-    trailing zeros are meaningful here (unlike TernaryNat).
+    digits are least-significant first and the length IS the precision, so
+    zeros in the top positions are meaningful.
     """
 
     digits: tuple[int, ...]
@@ -155,8 +155,8 @@ def enumerate_digit2free_powers(
 ) -> list[int]:
     """All exponents 0 <= n <= X for which 2^n omits the ternary digit 2.
 
-    residue_depth = 0 selects the plain incremental-doubling scan (the
-    oracle path); positive depth filters candidates through the survivor
+    residue_depth = 0 selects the brute scan that checks every 2^n in full
+    (the oracle path); positive depth filters candidates through the survivor
     residues first, which is what makes large X cheap.
     """
     if X < 1:
@@ -165,16 +165,7 @@ def enumerate_digit2free_powers(
         raise ValueError("residue_depth must be >= 0")
 
     if residue_depth == 0:
-        from .ternary import TernaryNat, double, omits_digit
-
-        out = []
-        t = TernaryNat.from_int(1)
-        for n in range(X + 1):
-            if omits_digit(t, 2):
-                out.append(n)
-            if n < X:
-                t = double(t)
-        return out
+        return [n for n in range(X + 1) if int_omits_digit(1 << n, 2)]
 
     depth = residue_depth
     survivors = residue_survivors(depth)

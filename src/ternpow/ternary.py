@@ -1,18 +1,21 @@
-"""Exact base-3 arithmetic on canonical digit vectors.
+"""Exact base-3 arithmetic on plain integers.
 
-Digit vectors are stored least-significant first so carries propagate
-forward and low-order digit tests are O(1).  The empty vector is zero, and
-zero omits every digit.  Serialization is most-significant first over the
-alphabet {0,1,2} with no separators, e.g. 256 <-> "100111".
+A ternary number is a Python ``int``.  ``int_to_digits`` lists its digits
+least-significant first (zero has the empty vector and omits every digit);
+``leading_digits`` renders the top digits most-significant first over the
+alphabet {0,1,2} with no separators, e.g. 256 -> "100111".  Dyadic
+rationals carry the spacings lambda, and the omission walks step and count
+through the integers whose expansion avoids one digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InsufficientDigits
+from .precision import math_floor_log3
 
 _VALID = (0, 1, 2)
 
@@ -52,138 +55,20 @@ def int_omits_digit(n: int, digit: int) -> bool:
     return True
 
 
-class TernaryNat:
-    """A natural number as a canonical ternary digit vector.
+def leading_digits(n: int, k: int) -> str:
+    """The k most-significant ternary digits of n >= 0 as a string.
 
-    Canonical means every digit is in {0,1,2} and the most-significant
-    stored digit is nonzero; the empty vector denotes zero.
+    Raises InsufficientDigits when n has fewer than k digits (zero has none).
     """
-
-    __slots__ = ("_digits",)
-
-    def __init__(self, digits: Iterable[int] = ()):
-        ds = tuple(digits)
-        for d in ds:
-            if d not in _VALID:
-                raise ValueError(f"not a ternary digit: {d!r}")
-        if ds and ds[-1] == 0:
-            raise ValueError("most-significant digit must be nonzero")
-        self._digits = ds
-
-    @classmethod
-    def from_int(cls, n: int) -> "TernaryNat":
-        return cls(int_to_digits(n))
-
-    @classmethod
-    def parse(cls, text: str) -> "TernaryNat":
-        """Parse a most-significant-first digit string over {0,1,2}.
-
-        Leading zeros are tolerated and canonicalized away; any other
-        character is rejected.
-        """
-        if not isinstance(text, str) or text == "":
-            raise ValueError("expected a nonempty ternary digit string")
-        if any(c not in "012" for c in text):
-            raise ValueError(f"invalid ternary digit string: {text!r}")
-        stripped = text.lstrip("0")
-        return cls(int(c) for c in reversed(stripped))
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """Digits least-significant first; empty for zero."""
-        return self._digits
-
-    def to_int(self) -> int:
-        return digits_to_int(self._digits)
-
-    def is_zero(self) -> bool:
-        return not self._digits
-
-    @property
-    def num_digits(self) -> int:
-        return len(self._digits)
-
-    def digit(self, i: int) -> int:
-        """Digit at position i (3^i place); positions past the top are 0."""
-        if i < 0:
-            raise ValueError("negative digit position")
-        return self._digits[i] if i < len(self._digits) else 0
-
-    def __str__(self) -> str:
-        if not self._digits:
-            return "0"
-        return "".join(str(d) for d in reversed(self._digits))
-
-    def __repr__(self) -> str:
-        return f"TernaryNat({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TernaryNat) and self._digits == other._digits
-
-    def __hash__(self) -> int:
-        return hash(("TernaryNat", self._digits))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._digits)
-
-
-def double(x: TernaryNat) -> TernaryNat:
-    """Multiply by two with a single carry pass."""
-    out: list[int] = []
-    carry = 0
-    for d in x.digits:
-        t = 2 * d + carry
-        carry, r = divmod(t, 3)
-        out.append(r)
-    while carry:
-        carry, r = divmod(carry, 3)
-        out.append(r)
-    return TernaryNat(out)
-
-
-def mul_small(x: TernaryNat, m: int) -> TernaryNat:
-    """Multiply a digit vector by a nonnegative machine integer."""
-    if m < 0:
-        raise ValueError("negative multiplier")
-    if m == 0:
-        return TernaryNat()
-    out: list[int] = []
-    carry = 0
-    for d in x.digits:
-        t = d * m + carry
-        carry, r = divmod(t, 3)
-        out.append(r)
-    while carry:
-        carry, r = divmod(carry, 3)
-        out.append(r)
-    return TernaryNat(out)
-
-
-def pow2(n: int) -> TernaryNat:
-    """Ternary expansion of 2^n, built by n successive doublings."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    x = TernaryNat((1,))
-    for _ in range(n):
-        x = double(x)
-    return x
-
-
-def omits_digit(x: TernaryNat, digit: int) -> bool:
-    """Whether the expansion omits ``digit``; zero omits every digit."""
-    if digit not in _VALID:
-        raise ValueError(f"not a ternary digit: {digit!r}")
-    return digit not in x.digits
-
-
-def leading_digits(x: TernaryNat, k: int) -> str:
-    """The k most-significant digits as a string; error if fewer exist."""
     if k <= 0:
         raise ValueError("k must be positive")
-    if x.num_digits < k:
-        raise InsufficientDigits(f"value has {x.num_digits} digits, need {k}")
-    ds = x.digits
-    return "".join(str(ds[len(ds) - 1 - i]) for i in range(k))
+    if n < 0:
+        raise ValueError("negative value")
+    length = math_floor_log3(n) + 1 if n else 0
+    if length < k:
+        raise InsufficientDigits(f"value has {length} digits, need {k}")
+    top = n // 3 ** (length - k)
+    return "".join(str(d) for d in reversed(int_to_digits(top)))
 
 
 @dataclass(frozen=True)
@@ -245,13 +130,6 @@ def floor_times_pow2(lam: DyadicRational, n: int) -> int:
     """floor(lam * 2^n) as a plain integer (pure shifts, no rounding)."""
     t = n - lam.exponent
     return lam.numerator << t if t >= 0 else lam.numerator >> (-t)
-
-
-def floor_lambda_pow2(lam: DyadicRational, n: int) -> TernaryNat:
-    """Ternary expansion of floor(lam * 2^n)."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    return TernaryNat.from_int(floor_times_pow2(lam, n))
 
 
 def next_omitting(x: int, forbidden: int) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -198,10 +199,68 @@ def test_usage_errors_exit_one():
 
 
 def test_computation_errors_exit_two(capsys):
-    assert main(["census", "--lambda", "1", "--max", "1"]) == 2
-    assert "ternpow:" in capsys.readouterr().err
-    assert main(["sieve", "--max-exponent", "10", "--lambda", "nonsense"]) == 2
+    # the 256-bit cap certifies the continued fraction only to depth 78
+    assert main(["--precision-cap", "256", "cf", "--depth", "79"]) == 2
+    assert "ternpow: PrecisionError" in capsys.readouterr().err
     assert main(["--precision-cap", "64", "cf", "--depth", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--max-exponent", "10", "--lambda", "1/3"],
+        ["sieve", "--max-exponent", "10", "--lambda", "0"],
+        ["sieve", "--max-exponent", "10", "--lambda", "nonsense"],
+        ["sieve", "--max-exponent", "0"],
+        ["census", "--lambda", "1", "--max", "1"],
+        ["census", "--lambda", "-1", "--max", "10"],
+        ["three-gap", "--N", "0"],
+        ["cf", "--depth", "0"],
+        ["dimension", "--multipliers", "a"],
+        ["dimension", "--multipliers", "1,7", "--prefix-depth", "0"],
+        ["dimension", "--multipliers", "1,7", "--prefix-depth", "-3"],
+        ["export-automaton", "--multipliers", "1,-2"],
+        ["search-n", "--multipliers", "7", "--max-N", "0"],
+        ["scan", "--max-M", "0"],
+        ["--threads", "0", "cf", "--depth", "3"],
+        ["--state-limit", "0", "cf", "--depth", "3"],
+    ],
+)
+def test_invalid_input_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_sieve_residue_depth_is_not_an_option(capsys):
+    assert main(["sieve", "--max-exponent", "10", "--residue-depth", "5"]) == 1
+    assert "unrecognized arguments: --residue-depth" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_dimension_output_is_strict_json():
+    for depth in ("1", "2", "60"):
+        text, code = dispatch(["dimension", "--multipliers", "1,7", "--prefix-depth", depth])
+        assert code == 0
+        res = _strict_json(text)["results"]
+        assert len(res["prefix_counts"]) == int(depth)
+
+
+@pytest.mark.parametrize("offset", ["-1/3", "-0.25", "-2"])
+def test_negative_offset_parses_in_both_forms(offset):
+    spaced, code = dispatch(["three-gap", "--N", "10", "--offset", offset])
+    assert code == 0
+    joined, _ = dispatch(["three-gap", "--N", "10", f"--offset={offset}"])
+    assert spaced == joined
+    assert _strict_json(spaced)["results"]["offset"] == str(Fraction(offset))
 
 
 def test_timing_goes_to_stderr_not_payload(capsys):

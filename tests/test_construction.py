@@ -10,7 +10,6 @@ from ternpow import (
     find_lk,
     int_omits_digit,
     leading_digits,
-    pow2,
 )
 
 
@@ -42,7 +41,7 @@ def test_find_lk_validation():
 
 
 def test_run_of_zeros_in_pow2_65():
-    assert leading_digits(pow2(65), 4) == "1000"
+    assert leading_digits(1 << 65, 4) == "1000"
 
 
 def test_level_one_full_checks():

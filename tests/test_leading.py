@@ -14,10 +14,10 @@ from ternpow import (
     InsufficientDigits,
     census_bound_check,
     classify_leading,
+    int_to_digits,
     leading_interval,
     theorem11_census,
 )
-from ternpow.orbit.leading import floor_log3_fraction
 
 
 def _all_digit_strings(k):
@@ -114,10 +114,34 @@ def test_classify_validation():
         classify_leading(DyadicRational.from_pair(1, 0), 1, 5)
 
 
-@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6)))
-def test_floor_log3_fraction_exact(fr):
-    e = floor_log3_fraction(fr)
-    assert Fraction(3) ** e <= fr < Fraction(3) ** (e + 1)
+def test_classify_below_one_has_no_digits():
+    # 5/2^6 * 2^5 = 5/2 has one digit; at n = 4 the value 5/4 still has
+    # one; at n = 3, 5/8 < 1 and its integer floor has none
+    lam = DyadicRational.from_pair(5, 6)
+    assert classify_leading(lam, 5, 1).c1 == "2"
+    assert classify_leading(lam, 4, 1).c1 == "1"
+    for n in (0, 1, 2, 3):
+        with pytest.raises(InsufficientDigits):
+            classify_leading(lam, n, 1)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=6),
+)
+def test_classify_matches_integer_floor_digits(num, s, n, k):
+    lam = DyadicRational.from_pair(num, s)
+    v = lam.value * 2**n
+    full = "".join(str(d) for d in reversed(int_to_digits(v.__floor__())))
+    if len(full) < k:
+        with pytest.raises(InsufficientDigits):
+            classify_leading(lam, n, k)
+        return
+    cls = classify_leading(lam, n, k)
+    assert cls.c1 == cls.c2 == full[:k]
+    assert cls.boundary == ((v / 3 ** (len(full) - k)).denominator == 1)
 
 
 def test_census_frozen_run():

@@ -9,13 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv, mp
 
-from ternpow import cf_log3_2
+from ternpow import cf_log3_2, int_to_digits
 from ternpow.errors import PrecisionError
 from ternpow.precision import (
     DEFAULT_PRECISION_CAP,
     MIN_PRECISION,
     alpha0_iv,
-    certified_ceil,
     certified_floor,
     certified_less_than,
     certified_sign,
@@ -28,7 +27,6 @@ from ternpow.precision import (
     math_floor_log3,
     mpf_to_fraction,
     precision_cap,
-    ternary_length,
     ulp,
 )
 
@@ -114,7 +112,8 @@ def test_certified_floor_and_ceil():
             return iv.mpf(19) * alpha0_iv(prec)  # 19 * log3(2) = 11.98766...
 
     assert certified_floor(make) == 11
-    assert certified_ceil(make) == 12
+    # the ceiling is minus the floor of the negated enclosure
+    assert -certified_floor(lambda prec: -make(prec)) == 12
 
 
 def test_compare_power3_power2_literal_regime():
@@ -186,13 +185,15 @@ def test_compare_power3_power2_interval_regime_consistent():
 def test_math_floor_log3_matches_digit_length(x):
     e = math_floor_log3(x)
     assert 3**e <= x < 3 ** (e + 1)
-    assert ternary_length(x) == e + 1
+    assert len(int_to_digits(x)) == e + 1
 
 
 def test_ternary_length_zero():
-    assert ternary_length(0) == 0
+    assert len(int_to_digits(0)) == 0
     with pytest.raises(ValueError):
         math_floor_log3(0)
+    with pytest.raises(ValueError):
+        math_floor_log3(-3)
 
 
 def test_ulp_scales_with_magnitude():

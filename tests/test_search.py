@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from ternpow import (
     theorem17_search,
     verify_sigma_subsets,
 )
+from ternpow.cantor.search import _bound_denominator
 
 LOG3_2 = math.log(2) / math.log(3)
 
@@ -222,6 +225,66 @@ def test_scan_parallel_matches_serial():
     serial = scan_problems(40, workers=1)
     parallel = scan_problems(40, workers=2)
     assert serial == parallel
+
+
+def test_scan_workers_clamped_to_cores_and_work(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert scan_problems(30, workers=10**6) == scan_problems(30, workers=1)
+    assert pools == [4]
+    # 1..5 hold four 3-free multipliers, so no more than four workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    scan_problems(5, workers=10**6)
+    assert pools == [4, 4]
+    # an unknown core count means one worker: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    scan_problems(5, workers=8)
+    assert pools == [4, 4]
+
+
+def _literal_ceil_log3(x):
+    t, p = 0, 1
+    while p < x:
+        p *= 3
+        t += 1
+    return t
+
+
+def test_bound_denominator_matches_power_loop():
+    t, p = 0, 1
+    for x in range(1, 10**5 + 1):
+        while p < x:
+            p *= 3
+            t += 1
+        assert _bound_denominator(x, 1) == max(1, t), x
+    for e in (11, 20, 63):
+        # exact powers of 3 and their neighbours
+        assert _bound_denominator(3**e, 1) == e
+        assert _bound_denominator(3**e + 1, 1) == e + 1
+        assert _bound_denominator(3**e - 1, 1) == e
+
+
+@given(
+    st.integers(min_value=1, max_value=10**30),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_bound_denominator_large_products(n, m):
+    assert _bound_denominator(n, m) == max(1, _literal_ceil_log3(n * m))
 
 
 def test_scan_validation():

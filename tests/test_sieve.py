@@ -75,7 +75,7 @@ def test_survivor_chain_other_multipliers(a):
 
 def test_enumerate_powers_known_survivors():
     assert enumerate_digit2free_powers(4374) == [0, 2, 8]
-    # depth 0 selects the incremental-doubling oracle path
+    # depth 0 selects the brute oracle path
     assert enumerate_digit2free_powers(2000, residue_depth=0) == [0, 2, 8]
     with pytest.raises(ValueError):
         enumerate_digit2free_powers(0)
@@ -84,9 +84,12 @@ def test_enumerate_powers_known_survivors():
 
 
 def test_sieve_paths_agree():
-    assert enumerate_digit2free_powers(600, residue_depth=5) == (
-        enumerate_digit2free_powers(600, residue_depth=0)
-    )
+    # depth 0 checks every 2^n in full; depths 5 and 12 filter by residues
+    for X in (1, 2, 7, 8, 9, 600, 4374, 20_000):
+        oracle = enumerate_digit2free_powers(X, residue_depth=0)
+        assert oracle == [n for n in (0, 2, 8) if n <= X]
+        assert enumerate_digit2free_powers(X, residue_depth=5) == oracle
+        assert enumerate_digit2free_powers(X) == oracle
 
 
 def test_sieve_report_frozen_run():

@@ -1,4 +1,4 @@
-"""Base-3 digit vectors, dyadic rationals, and digit-omission walks."""
+"""Base-3 digits of integers, dyadic rationals, and digit-omission walks."""
 
 from __future__ import annotations
 
@@ -11,90 +11,69 @@ from hypothesis import strategies as st
 from ternpow import (
     DyadicRational,
     InsufficientDigits,
-    TernaryNat,
     count_omitting_upto,
     digits_to_int,
-    double,
-    floor_lambda_pow2,
     floor_times_pow2,
     int_omits_digit,
     int_to_digits,
     leading_digits,
-    mul_small,
     next_omitting,
-    omits_digit,
-    pow2,
     prev_omitting,
 )
 
 nats = st.integers(min_value=0, max_value=10**24)
 
 
+def _msf(n):
+    """All digits of n, most-significant first (empty for zero)."""
+    return "".join(str(d) for d in reversed(int_to_digits(n)))
+
+
 @given(nats)
 def test_digit_vector_roundtrip(n):
     assert digits_to_int(int_to_digits(n)) == n
-    assert TernaryNat.from_int(n).to_int() == n
+    assert all(d in (0, 1, 2) for d in int_to_digits(n))
+    if n:
+        assert int_to_digits(n)[-1] != 0  # canonical: no leading zero
 
 
-@given(nats)
+@given(st.integers(min_value=1, max_value=10**24))
 def test_parse_str_roundtrip(n):
-    x = TernaryNat.from_int(n)
-    assert TernaryNat.parse(str(x)) == x
-    assert TernaryNat.parse("00" + str(x)) == x
+    s = leading_digits(n, len(int_to_digits(n)))
+    assert s == _msf(n)
+    assert int(s, 3) == n
+    assert int("00" + s, 3) == n
 
 
 def test_known_serialization():
-    assert str(TernaryNat.from_int(256)) == "100111"
-    assert str(TernaryNat.from_int(0)) == "0"
-    assert TernaryNat.parse("100111").to_int() == 256
+    assert leading_digits(256, 6) == "100111"
+    assert int("100111", 3) == 256
+    assert int_to_digits(0) == ()
 
 
 def test_constructor_rejects_junk():
     with pytest.raises(ValueError):
-        TernaryNat((3,))
-    with pytest.raises(ValueError):
-        TernaryNat((1, 0))  # most-significant stored digit must be nonzero
-    with pytest.raises(ValueError):
-        TernaryNat.parse("10x")
-    with pytest.raises(ValueError):
-        TernaryNat.parse("")
-    with pytest.raises(ValueError):
         int_to_digits(-1)
+    with pytest.raises(ValueError):
+        leading_digits(-1, 1)
 
 
 def test_digit_accessor_and_zero():
-    x = TernaryNat.from_int(256)
-    assert [x.digit(i) for i in range(7)] == [1, 1, 1, 0, 0, 1, 0]
-    assert TernaryNat().is_zero()
-    assert TernaryNat().num_digits == 0
-    with pytest.raises(ValueError):
-        x.digit(-1)
-
-
-@given(nats)
-def test_double_matches_integers(n):
-    assert double(TernaryNat.from_int(n)).to_int() == 2 * n
-
-
-@given(nats, st.integers(min_value=0, max_value=10**6))
-def test_mul_small_matches_integers(n, m):
-    assert mul_small(TernaryNat.from_int(n), m).to_int() == n * m
-
-
-@given(st.integers(min_value=0, max_value=300))
-def test_pow2_matches_integers(n):
-    assert pow2(n).to_int() == 2**n
+    assert int_to_digits(256) == (1, 1, 1, 0, 0, 1)
+    assert int_to_digits(0) == ()
+    assert digits_to_int(()) == 0
+    with pytest.raises(InsufficientDigits):
+        leading_digits(0, 1)  # zero has no digits
 
 
 def test_pow2_digit2free_exponents():
-    free = [n for n in range(101) if omits_digit(pow2(n), 2)]
+    free = [n for n in range(101) if int_omits_digit(1 << n, 2)]
     assert free == [0, 2, 8]
 
 
 @given(nats, st.sampled_from([0, 1, 2]))
 def test_omission_checks_agree(n, d):
     assert int_omits_digit(n, d) == (d not in int_to_digits(n))
-    assert omits_digit(TernaryNat.from_int(n), d) == int_omits_digit(n, d)
 
 
 def test_omission_rejects_bad_digit():
@@ -105,12 +84,28 @@ def test_omission_rejects_bad_digit():
 
 
 def test_leading_digits():
-    assert leading_digits(pow2(8), 3) == "100"
-    assert leading_digits(TernaryNat.from_int(256), 6) == "100111"
+    assert leading_digits(1 << 8, 3) == "100"
+    assert leading_digits(256, 6) == "100111"
+    assert leading_digits(3**40, 41) == "1" + "0" * 40
+    assert leading_digits(3**40 - 1, 40) == "2" * 40
     with pytest.raises(InsufficientDigits):
-        leading_digits(TernaryNat.from_int(5), 3)
+        leading_digits(5, 3)
+    with pytest.raises(InsufficientDigits):
+        leading_digits(3**40 - 1, 41)
     with pytest.raises(ValueError):
-        leading_digits(TernaryNat.from_int(5), 0)
+        leading_digits(5, 0)
+    with pytest.raises(ValueError):
+        leading_digits(5, -1)
+
+
+def test_leading_digits_of_powers_of_two_match_digit_vectors():
+    for l in range(2001):
+        full = _msf(1 << l)
+        for k in {1, 2, 7, len(full) // 2, len(full)}:
+            if 1 <= k <= len(full):
+                assert leading_digits(1 << l, k) == full[:k], (l, k)
+        with pytest.raises(InsufficientDigits):
+            leading_digits(1 << l, len(full) + 1)
 
 
 def test_dyadic_canonicalization():
@@ -145,7 +140,6 @@ def test_floor_times_pow2_exact(num, s, n):
     lam = DyadicRational.from_pair(num, s)
     expected = (lam.value * 2**n).__floor__()
     assert floor_times_pow2(lam, n) == expected
-    assert floor_lambda_pow2(lam, n).to_int() == expected
 
 
 FORBIDDEN = st.sampled_from([0, 1, 2])
