@@ -237,14 +237,18 @@ def trim(a: CarryAutomaton) -> CarryAutomaton:
     )
 
 
-def count_prefixes(ms, r: int, state_limit: int = DEFAULT_STATE_LIMIT) -> int:
-    """Exact number of accepted length-r digit strings (untrimmed machine)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+def prefix_counts(
+    ms, depth: int, state_limit: int = DEFAULT_STATE_LIMIT
+) -> tuple[int, ...]:
+    """Exact numbers of accepted length-r digit strings for r = 1..depth
+    (untrimmed machine), from one pass of path counting."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
     vec = [0] * a.num_states
     vec[0] = 1
-    for _ in range(r):
+    counts = []
+    for _ in range(depth):
         nxt = [0] * a.num_states
         for i, count in enumerate(vec):
             if count == 0:
@@ -253,4 +257,11 @@ def count_prefixes(ms, r: int, state_limit: int = DEFAULT_STATE_LIMIT) -> int:
                 if t is not None:
                     nxt[t] += count
         vec = nxt
-    return sum(vec)
+        counts.append(sum(vec))
+    return tuple(counts)
+
+
+def count_prefixes(ms, r: int, state_limit: int = DEFAULT_STATE_LIMIT) -> int:
+    """Exact number of accepted length-r digit strings (untrimmed machine)."""
+    counts = prefix_counts(ms, r, state_limit)
+    return counts[-1] if counts else 1

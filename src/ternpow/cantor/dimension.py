@@ -6,30 +6,41 @@ the Hausdorff dimension of the corresponding 3-adic set, the standard
 identification for graph-directed constructions (the identification, not a
 re-derivation, is what this module implements).
 
-rho is located exactly when the graph is structurally degenerate (every
-strongly connected component a bare cycle gives rho = 1, a fully binary
-machine gives rho = 2) and otherwise enclosed by Collatz-Wielandt ratio
-bounds evaluated on integer vectors, so the reported interval is certified
-rational arithmetic, not floating point.
+rho is the largest radius over the strongly connected components.  Every
+state has at most two out-edges, so a component in which no state keeps
+both of them inside is a bare cycle (radius 1) or a single state off every
+cycle (radius 0).  The growth components, where some state keeps both
+out-edges inside, are exactly those with radius above 1: rho = 1 when there
+is none, and otherwise each gets one Collatz-Wielandt certificate.  For
+B = A + I and any positive integer vector x, the min and max of
+(Bx)_i / x_i enclose rho(B) = rho(A) + 1 in exact rational arithmetic, not
+floating point.  x comes from integer power iteration started at the
+all-ones vector, which is already an eigenvector of the one-state {1}
+machine, so that certificate is the exact point rho = 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import SizeGuardError
-from ..precision import iv_endpoints, log3_iv
+from ..precision import MIN_PRECISION, iv_endpoints, log3_iv
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
     build_automaton,
-    count_prefixes,
+    prefix_counts,
     trim,
 )
 
-DEFAULT_TARGET_WIDTH = Fraction(1, 10**10)
 DEFAULT_PREFIX_DEPTH = 60
+# the certificate is read after 64, 128, ..., MAX_ITERATIONS power steps and
+# returned at the first reading narrower than TARGET_WIDTH
+TARGET_WIDTH = Fraction(1, 10**10)
+FIRST_READING = 64
+MAX_ITERATIONS = 4096
 _CHARPOLY_STATE_LIMIT = 64
 
 
@@ -86,56 +97,50 @@ def strongly_connected_components(
     return comps
 
 
-def _component_rows(a: CarryAutomaton, nodes: list[int]) -> list[list[int]]:
-    """Within-component adjacency as sparse rows of local target indices.
+def growth_components(trimmed: CarryAutomaton) -> list[list[list[int]]]:
+    """Sparse rows of every strongly connected component with radius > 1.
 
-    Every state has at most two out-edges, so rows (with repeats for
-    multiplicity) keep all the spectral work linear in the state count.
+    Those are the components in which some state keeps both out-edges
+    inside.  A row lists the local indices of a state's targets inside its
+    component (repeated for a doubled edge), so all the spectral work stays
+    linear in the state count.
     """
-    pos = {v: i for i, v in enumerate(nodes)}
-    rows: list[list[int]] = [[] for _ in nodes]
-    for v in nodes:
-        for t in a.transitions[v]:
-            if t is not None and t in pos:
-                rows[pos[v]].append(pos[t])
-    return rows
+    growth = []
+    for comp in strongly_connected_components(trimmed.transitions):
+        pos = {v: i for i, v in enumerate(comp)}
+        rows = [[pos[t] for t in trimmed.transitions[v] if t in pos] for v in comp]
+        if any(len(row) == 2 for row in rows):
+            growth.append(rows)
+    return growth
 
 
-def _is_bare_cycle(rows: list[list[int]]) -> bool:
-    """True when every node has exactly one outgoing edge inside the SCC."""
-    return all(len(row) == 1 for row in rows)
-
-
-def _has_cycle(rows: list[list[int]]) -> bool:
-    if len(rows) > 1:
-        return True  # strongly connected with >1 node
-    return 0 in rows[0]
-
-
-def _cw_bounds(rows: list[list[int]], iterations: int) -> tuple[Fraction, Fraction]:
+def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
     """Collatz-Wielandt enclosure of the spectral radius of an irreducible
-    component given by sparse rows.
+    component given by sparse rows, and whether it met TARGET_WIDTH.
 
     Power-iterates B = A + I (the shift kills periodicity) on an integer
-    vector, renormalizing by shifts to keep entries bounded; the min and max
-    of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for any positive x.
+    vector from all ones, renormalizing by shifts to keep entries bounded;
+    the min and max of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for
+    any positive x.  One run serves every reading.
     """
     n = len(rows)
-
-    def apply(x: list[int]) -> list[int]:
-        return [x[i] + sum(x[j] for j in rows[i]) for i in range(n)]
-
     x = [1] * n
-    for _ in range(iterations):
-        y = apply(x)
+    steps, reading = 0, FIRST_READING
+    while True:
+        y = [x[i] + sum(x[j] for j in rows[i]) for i in range(n)]
+        if steps == reading:
+            ratios = [Fraction(y[i], x[i]) for i in range(n)]
+            lo, hi = min(ratios) - 1, max(ratios) - 1
+            converged = hi - lo <= TARGET_WIDTH
+            if converged or reading >= MAX_ITERATIONS:
+                return lo, hi, converged
+            reading *= 2
         # renormalize to keep the integers from exploding
         shift = max(v.bit_length() for v in y) - 64
         if shift > 0:
             y = [max(1, v >> shift) for v in y]
         x = y
-    y = apply(x)
-    ratios = [Fraction(y[i], x[i]) for i in range(n)]
-    return min(ratios) - 1, max(ratios) - 1
+        steps += 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,10 @@ class DimensionEstimate:
     """log3 of the trimmed machine's growth rate, with a certified enclosure.
 
     rho_lo/rho_hi bound the spectral radius as exact rationals; lo/hi bound
-    log3(rho).  exact is set when rho was identified structurally rather
-    than enclosed numerically.  prefix_counts tabulates accepted prefixes of
-    the untrimmed machine; slope_gap is |log3(count(R))/R - value|.
+    log3(rho).  exact is set when the enclosure is the single point rho:
+    1 when no growth component exists, 2 for the unconstrained machine.
+    prefix_counts tabulates accepted prefixes of the untrimmed machine;
+    slope_gap is |log3(count(R))/R - value|.
     """
 
     multipliers: tuple[int, ...]
@@ -175,91 +181,41 @@ class DimensionEstimate:
         return self.exact and self.rho_lo == self.rho_hi == 1
 
 
-def _log3_enclosure(fr: Fraction, prec: int = 256) -> tuple[Fraction, Fraction]:
+def _log3_enclosure(fr: Fraction) -> tuple[Fraction, Fraction]:
     if fr == 1:
         return Fraction(0), Fraction(0)
-    lo, hi = iv_endpoints(log3_iv(fr, prec))
-    return lo, hi
+    return iv_endpoints(log3_iv(fr, MIN_PRECISION))
 
 
 def hausdorff_dimension(
     ms,
-    target_width: Fraction = DEFAULT_TARGET_WIDTH,
+    *,
     prefix_depth: int = DEFAULT_PREFIX_DEPTH,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    max_iterations: int = 4096,
 ) -> DimensionEstimate:
     """Dimension estimate for the multiplier set's admissible 3-adic set.
 
-    Structural cases (all SCCs bare cycles -> 0; fully binary machine ->
-    log3 2) are exact.  Otherwise each strongly connected component gets a
-    Collatz-Wielandt enclosure that is tightened by power iteration until
-    the spectral-radius interval is narrower than target_width; failure to
-    converge is reported on the result, not raised.
+    rho starts at exactly 1 and is raised to the largest Collatz-Wielandt
+    enclosure over the growth components.  A certificate still wider than
+    TARGET_WIDTH after MAX_ITERATIONS steps clears converged on the result
+    rather than raising.  prefix_depth (at least 1) sets how many prefix
+    counts are tabulated.
     """
+    if prefix_depth < 1:
+        raise ValueError("prefix_depth must be >= 1")
     built = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
     trimmed = built if built.trimmed else trim(built)
 
-    counts = tuple(count_prefixes(built, r) for r in range(1, prefix_depth + 1))
-
-    if all(t is not None for pair in trimmed.transitions for t in pair):
-        # fully binary: rho = 2 exactly, the machine is the unrestricted one
-        two = Fraction(2)
-        lo, hi = _log3_enclosure(two)
-        return DimensionEstimate(
-            multipliers=built.multipliers,
-            states_total=built.num_states,
-            states_trimmed=trimmed.num_states,
-            rho_lo=two,
-            rho_hi=two,
-            lo=lo,
-            hi=hi,
-            exact=True,
-            converged=True,
-            prefix_counts=counts,
-            slope_gap=_slope_gap(counts, (lo + hi) / 2),
-        )
-
-    comps = strongly_connected_components(trimmed.transitions)
-    mats = [_component_rows(trimmed, comp) for comp in comps]
-    cyclic = [m for m in mats if _has_cycle(m)]
-    if all(_is_bare_cycle(m) for m in cyclic):
-        # growth is polynomial at best: rho = 1, dimension exactly 0
-        one = Fraction(1)
-        return DimensionEstimate(
-            multipliers=built.multipliers,
-            states_total=built.num_states,
-            states_trimmed=trimmed.num_states,
-            rho_lo=one,
-            rho_hi=one,
-            lo=Fraction(0),
-            hi=Fraction(0),
-            exact=True,
-            converged=True,
-            prefix_counts=counts,
-            slope_gap=_slope_gap(counts, Fraction(0)),
-        )
-
-    rho_lo = Fraction(1)
-    rho_hi = Fraction(1)
+    rho_lo = rho_hi = Fraction(1)
     converged = True
-    for mat in cyclic:
-        if _is_bare_cycle(mat):
-            continue
-        iterations = 64
-        lo, hi = _cw_bounds(mat, iterations)
-        while hi - lo > target_width and iterations < max_iterations:
-            iterations *= 2
-            lo, hi = _cw_bounds(mat, iterations)
-        if hi - lo > target_width:
-            converged = False
-        if lo > rho_lo:
-            rho_lo = lo
-        if hi > rho_hi:
-            rho_hi = hi
+    for rows in growth_components(trimmed):
+        lo, hi, ok = _cw_bounds(rows)
+        rho_lo, rho_hi = max(rho_lo, lo), max(rho_hi, hi)
+        converged = converged and ok
 
     dim_lo = _log3_enclosure(rho_lo)[0]
     dim_hi = _log3_enclosure(rho_hi)[1]
+    counts = prefix_counts(built, prefix_depth)
     return DimensionEstimate(
         multipliers=built.multipliers,
         states_total=built.num_states,
@@ -268,7 +224,7 @@ def hausdorff_dimension(
         rho_hi=rho_hi,
         lo=dim_lo,
         hi=dim_hi,
-        exact=False,
+        exact=rho_lo == rho_hi,
         converged=converged,
         prefix_counts=counts,
         slope_gap=_slope_gap(counts, (dim_lo + dim_hi) / 2),
@@ -277,10 +233,6 @@ def hausdorff_dimension(
 
 def _slope_gap(counts: tuple[int, ...], value: Fraction) -> float:
     """|log3(count(R))/R - value| at the deepest tabulated R."""
-    import math
-
-    if not counts:
-        return float("nan")
     r = len(counts)
     c = counts[-1]
     if c == 0:

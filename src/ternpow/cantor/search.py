@@ -23,12 +23,7 @@ from .automaton import (
     build_automaton,
     trim,
 )
-from .dimension import (
-    _component_rows,
-    _has_cycle,
-    _is_bare_cycle,
-    strongly_connected_components,
-)
+from .dimension import growth_components
 
 LOG3_2 = math.log(2) / math.log(3)
 DEFAULT_SCAN_LIMIT = 3000
@@ -378,21 +373,6 @@ def verify_sigma_subsets(r: int) -> SigmaSubsetReport:
     )
 
 
-def _rho_exceeds_one(trimmed: CarryAutomaton) -> bool:
-    """Exact structural test for spectral radius > 1.
-
-    The radius exceeds 1 precisely when some strongly connected component
-    with a cycle is more than a bare cycle (two distinct cycles through a
-    shared node force exponential path growth).
-    """
-    comps = strongly_connected_components(trimmed.transitions)
-    for comp in comps:
-        rows = _component_rows(trimmed, comp)
-        if _has_cycle(rows) and not _is_bare_cycle(rows):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class ScanRow:
     m: int
@@ -408,7 +388,8 @@ class ScanResult:
 
     in_mc: some positive integer N has N and M*N both digit-2-free (exact
     reachability decision).  in_mh: the admissible set of {1, M} has
-    positive dimension (exact structural spectral-radius test).  The strict
+    positive dimension, i.e. its trimmed machine has a growth component (an
+    exact structural test for spectral radius > 1).  The strict
     witnesses are the M in the second class but not the first.
     """
 
@@ -422,7 +403,7 @@ class ScanResult:
 def _classify_normalized(m: int) -> tuple[bool, bool, int | None]:
     """(in_mc, in_mh, smallest witness) for a 3-coprime multiplier."""
     a = build_automaton(MultiplierSet.of([1, m]))
-    in_mh = _rho_exceeds_one(trim(a))
+    in_mh = bool(growth_components(trim(a)))
     wit = smallest_witness(a)
     return wit.found, in_mh, wit.n
 

@@ -199,7 +199,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--precision-cap",
-        type=int,
+        type=_int_at_least(MIN_PRECISION),
         default=None,
         help="bits ceiling for certified interval escalation "
         "(default: TERNARY_PRECISION_CAP or 65536; minimum 256)",
@@ -538,9 +538,12 @@ def _cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
+_PARSER = _build_parser()
+
+
 def dispatch(argv: list[str]) -> tuple[str, int]:
     """Run one command; returns (stdout text, exit code)."""
-    return _run(_build_parser().parse_args(argv))
+    return _run(_PARSER.parse_args(argv))
 
 
 def _run(args) -> tuple[str, int]:
@@ -595,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     t0 = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         text, code = _run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -16,6 +16,7 @@ from ternpow import (
     count_prefixes,
     trim,
 )
+from ternpow.cantor.automaton import prefix_counts
 
 
 def _products_stay_free(mults, digits):
@@ -114,6 +115,21 @@ def test_count_prefixes_validation():
     with pytest.raises(ValueError):
         count_prefixes([1, 7], -1)
     assert count_prefixes([1, 7], 0) == 1
+
+
+def test_prefix_counts_one_pass_matches_per_length_counts():
+    for mults in ([1], [1, 2], [1, 7], [1, 52], [1, 4, 256], [1, 997]):
+        a = build_automaton(mults)
+        trimmed = trim(a)
+        for machine in (a, trimmed):
+            for depth in (0, 1, 2, 9, 25):
+                want = tuple(count_prefixes(machine, r) for r in range(1, depth + 1))
+                assert prefix_counts(machine, depth) == want
+        brute = tuple(_brute_count(a.multipliers, r) for r in range(1, 9))
+        assert prefix_counts(mults, 8) == brute
+    assert prefix_counts([1, 7], 0) == ()
+    with pytest.raises(ValueError):
+        prefix_counts([1, 7], -1)
 
 
 def test_count_prefixes_submultiplicative():

@@ -202,7 +202,6 @@ def test_computation_errors_exit_two(capsys):
     # the 256-bit cap certifies the continued fraction only to depth 78
     assert main(["--precision-cap", "256", "cf", "--depth", "79"]) == 2
     assert "ternpow: PrecisionError" in capsys.readouterr().err
-    assert main(["--precision-cap", "64", "cf", "--depth", "3"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -224,6 +223,7 @@ def test_computation_errors_exit_two(capsys):
         ["scan", "--max-M", "0"],
         ["--threads", "0", "cf", "--depth", "3"],
         ["--state-limit", "0", "cf", "--depth", "3"],
+        ["--precision-cap", "64", "cf", "--depth", "3"],
     ],
 )
 def test_invalid_input_is_usage_error(argv, capsys):
@@ -261,6 +261,31 @@ def test_negative_offset_parses_in_both_forms(offset):
     joined, _ = dispatch(["three-gap", "--N", "10", f"--offset={offset}"])
     assert spaced == joined
     assert _strict_json(spaced)["results"]["offset"] == str(Fraction(offset))
+
+
+def test_back_to_back_dispatch_matches_fresh_processes():
+    # one parser serves every call, so nothing parsed for one command (its
+    # subcommand, options or defaults) may leak into the next
+    argvs = [
+        ["--precision-cap", "512", "--seed", "9", "construct", "--levels", "1",
+         "--digit-policy", "random"],
+        ["construct", "--levels", "1", "--digit-policy", "random"],
+        ["three-gap", "--N", "40", "--offset", "-1/3"],
+        ["three-gap", "--N", "40"],
+        ["--threads", "1", "sieve", "--max-exponent", "60", "--format", "csv"],
+        ["sieve", "--max-exponent", "60"],
+        ["dimension", "--multipliers", "1,7", "--prefix-depth", "3"],
+        ["dimension", "--multipliers", "1,7"],
+    ]
+    in_process = [dispatch(argv) for argv in argvs]
+    for argv, (text, code) in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternpow.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.stdout, proc.returncode) == (text + "\n", code), argv
 
 
 def test_timing_goes_to_stderr_not_payload(capsys):

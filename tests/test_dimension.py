@@ -16,7 +16,13 @@ from ternpow import (
     hausdorff_dimension,
     trim,
 )
-from ternpow.cantor.dimension import strongly_connected_components
+from ternpow.cantor.dimension import (
+    MAX_ITERATIONS,
+    TARGET_WIDTH,
+    _cw_bounds,
+    growth_components,
+    strongly_connected_components,
+)
 
 LOG3_2 = math.log(2) / math.log(3)
 GOLD = math.log((1 + math.sqrt(5)) / 2) / math.log(3)
@@ -155,3 +161,106 @@ def test_scc_decomposition_basics():
 def test_dimension_accepts_prebuilt_automaton():
     a = build_automaton([1, 7])
     assert hausdorff_dimension(a) == hausdorff_dimension([1, 7])
+
+
+def test_prefix_depth_below_one_is_rejected():
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            hausdorff_dimension([1, 7], prefix_depth=depth)
+
+
+# --- the pre-merge spectral routine, kept as the oracle of the merged one ---
+
+
+def _component_rows(a, nodes):
+    pos = {v: i for i, v in enumerate(nodes)}
+    rows = [[] for _ in nodes]
+    for v in nodes:
+        for t in a.transitions[v]:
+            if t is not None and t in pos:
+                rows[pos[v]].append(pos[t])
+    return rows
+
+
+def _old_rows(a):
+    return [_component_rows(a, c) for c in strongly_connected_components(a.transitions)]
+
+
+def _has_cycle(rows):
+    return len(rows) > 1 or 0 in rows[0]
+
+
+def _is_bare_cycle(rows):
+    return all(len(row) == 1 for row in rows)
+
+
+def _restarted_cw_bounds(rows, iterations):
+    """Power iteration from all ones, renormalized, read after `iterations`."""
+    n = len(rows)
+
+    def apply(x):
+        return [x[i] + sum(x[j] for j in rows[i]) for i in range(n)]
+
+    x = [1] * n
+    for _ in range(iterations):
+        y = apply(x)
+        shift = max(v.bit_length() for v in y) - 64
+        if shift > 0:
+            y = [max(1, v >> shift) for v in y]
+        x = y
+    y = apply(x)
+    ratios = [Fraction(y[i], x[i]) for i in range(n)]
+    return min(ratios) - 1, max(ratios) - 1
+
+
+def _restarted_enclosure(rows):
+    """Restart from all ones at every doubled iteration count, 64..4096."""
+    iterations = 64
+    lo, hi = _restarted_cw_bounds(rows, iterations)
+    while hi - lo > TARGET_WIDTH and iterations < MAX_ITERATIONS:
+        iterations *= 2
+        lo, hi = _restarted_cw_bounds(rows, iterations)
+    return lo, hi, hi - lo <= TARGET_WIDTH
+
+
+def _old_estimate(mults):
+    """(rho_lo, rho_hi, exact, converged) by the three structural branches."""
+    t = trim(build_automaton(mults))
+    if all(s is not None for pair in t.transitions for s in pair):
+        return Fraction(2), Fraction(2), True, True
+    cyclic = [rows for rows in _old_rows(t) if _has_cycle(rows)]
+    if all(_is_bare_cycle(rows) for rows in cyclic):
+        return Fraction(1), Fraction(1), True, True
+    rho_lo = rho_hi = Fraction(1)
+    converged = True
+    for rows in cyclic:
+        if _is_bare_cycle(rows):
+            continue
+        lo, hi, ok = _restarted_enclosure(rows)
+        rho_lo, rho_hi = max(rho_lo, lo), max(rho_hi, hi)
+        converged = converged and ok
+    return rho_lo, rho_hi, False, converged
+
+
+def test_single_pass_certificate_matches_restarted_loop():
+    rng = random.Random(2024)
+    sample = [[1], [1, 2], [1, 7], [1, 4], [1, 52], [1, 4, 256], [1, 49]]
+    while len(sample) < 27:
+        m = rng.randrange(2, 10**4 + 1)
+        if m % 3:
+            sample.append([1, m])
+    for mults in sample:
+        est = hausdorff_dimension(mults, prefix_depth=1)
+        got = (est.rho_lo, est.rho_hi, est.exact, est.converged)
+        assert got == _old_estimate(mults), mults
+        for rows in growth_components(trim(build_automaton(mults))):
+            assert _cw_bounds(rows) == _restarted_enclosure(rows), mults
+
+
+def test_growth_components_match_structural_predicate():
+    for m in range(1, 3001):
+        if m % 3 == 0:
+            continue
+        t = trim(build_automaton([1, m]))
+        old = any(_has_cycle(r) and not _is_bare_cycle(r) for r in _old_rows(t))
+        assert bool(growth_components(t)) == old, m
