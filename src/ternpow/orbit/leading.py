@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InsufficientDigits
-from ..precision import iv_endpoints, log3_iv, math_floor_log3
+from ..precision import iv_endpoints, log3_iv, math_floor_log3, power_le
 from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit, leading_digits
 from .cf import CFExpansion, cf_log3_2
 
@@ -153,7 +153,7 @@ class CensusReport:
 
 def census_bound_check(census: int, X: int) -> bool:
     """Exact test of census <= 25 * X^(389/400) via 400th powers."""
-    return census**400 <= 25**400 * X**389
+    return power_le(census, 400, (25, 400), (X, 389))
 
 
 def theorem11_census(lam: DyadicRational, X: int, cf: CFExpansion | None = None) -> CensusReport:

@@ -12,6 +12,10 @@ arithmetically before asking.
 Questions about log3(2) itself, such as which of 3^p and 2^q is larger,
 read the exact rational endpoints of a single enclosure lo < log3(2) < hi
 and finish in integer arithmetic: no power of 3 or 2 is ever built.
+
+Power-law bounds a^e <= prod b^f, with exponents up to 10^5, are decided
+by ``power_le`` on directed-rounding brackets of the two sides; the literal
+powers are built only when the brackets overlap.
 """
 
 from __future__ import annotations
@@ -144,27 +148,6 @@ def alpha0_mpf(prec: int):
         return mp.log(2) / mp.log(3)
 
 
-def certified_sign(
-    make: Callable[[int], object],
-    *,
-    start: int = MIN_PRECISION,
-    cap: int | None = None,
-    what: str = "sign",
-) -> int:
-    """Sign of a provably nonzero real given by interval evaluations."""
-
-    def attempt(prec: int) -> int | None:
-        x = make(prec)
-        lo, hi = iv_endpoints(x)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        return None
-
-    return escalate(attempt, start=start, cap=cap, what=what)
-
-
 def certified_less_than(
     make: Callable[[int], object],
     threshold: Fraction,
@@ -256,3 +239,71 @@ def math_floor_log3(x: int) -> int:
         p *= 3
         e += 1
     return e
+
+
+# Mantissa width of the power brackets.  A rounding step loses at most a
+# factor 1 + 2^-127, so a 10^5-th power is still bracketed to within about
+# 2^-108 and only near-ties reach the literal powers.
+_BRACKET_BITS = 128
+
+
+def _round(m: int, x: int, up: bool) -> tuple[int, int]:
+    """m * 2^x rounded down (or up) to a mantissa of at most _BRACKET_BITS bits."""
+    s = m.bit_length() - _BRACKET_BITS
+    if s <= 0:
+        return m, x
+    q = m >> s
+    if up and q << s != m:
+        q += 1
+    return q, x + s
+
+
+def _power_bracket(factors, up: bool) -> tuple[int, int]:
+    """(m, x) with m * 2^x <= prod b^f (up=False) or >= it (up=True).
+
+    Square-and-multiply on every factor, rounding each product in the one
+    direction; all terms are nonnegative, so the rounded value stays on its
+    side of the exact product.
+    """
+    m, x = 1, 0
+    for b, f in factors:
+        pm, px = 1, 0
+        for bit in bin(f)[2:]:
+            pm, px = _round(pm * pm, 2 * px, up)
+            if bit == "1":
+                pm, px = _round(pm * b, px, up)
+        m, x = _round(m * pm, x + px, up)
+    return m, x
+
+
+def _dyadic_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Exact m1 * 2^x1 <= m2 * 2^x2 for nonnegative mantissas."""
+    (m1, x1), (m2, x2) = a, b
+    if m1 == 0 or m2 == 0:
+        return m1 == 0
+    l1, l2 = m1.bit_length() + x1, m2.bit_length() + x2
+    if l1 != l2:
+        return l1 < l2
+    # equal bit lengths: the exponents differ by less than a mantissa width
+    if x1 >= x2:
+        return m1 << (x1 - x2) <= m2
+    return m1 <= m2 << (x2 - x1)
+
+
+def power_le(a: int, e: int, *factors: tuple[int, int]) -> bool:
+    """Exact test of a^e <= prod b^f over the (b, f) pairs in ``factors``.
+
+    Every base and exponent must be nonnegative (0^0 = 1).  The two sides
+    are first compared through brackets lo <= value <= hi built by
+    ``_power_bracket``: lhs_hi <= rhs_lo decides True and lhs_lo > rhs_hi
+    decides False.  Only when the brackets overlap, as on a tie, are the
+    literal powers built.
+    """
+    if min(a, e, *(v for pair in factors for v in pair)) < 0:
+        raise ValueError("bases and exponents must be nonnegative")
+    lhs = ((a, e),)
+    if _dyadic_le(_power_bracket(lhs, up=True), _power_bracket(factors, up=False)):
+        return True
+    if not _dyadic_le(_power_bracket(lhs, up=False), _power_bracket(factors, up=True)):
+        return False
+    return a**e <= math.prod(b**f for b, f in factors)

@@ -1,22 +1,32 @@
 """Residue sieves and counting for digit-2-free values of floor(lambda * 2^n).
 
-The low-order ternary digits of lambda * 2^n are periodic in n: 2 is a
-primitive root mod 3^k, so 2^n mod 3^k has period 2 * 3^(k-1).  Exponents can
-therefore be filtered through residue classes ("survivors") before any bignum
-work, and the survivor count itself is the k-digit surrogate counting
-function.
+The low-order ternary digits of A * 2^n are periodic in n: 2 is a primitive
+root mod 3^k, so 2^n mod 3^k has period 2 * 3^(k-1).  A residue class
+r mod 2 * 3^(j-1) whose j low digits of A * 2^r omit 2 is a survivor at depth
+j; its three lifts r + t * 2 * 3^(j-1) (t = 0, 1, 2) share those digits and
+differ in digit j, and for A prime to 3 exactly two of the three keep it in
+{0, 1}.  The survivors therefore form a tree that doubles per level while the
+classes triple (paper section 2), and the survivor count at depth k is the
+k-digit surrogate counting function.
+
+Exact enumeration walks that tree depth-first over the exponents of a range,
+lifting a class only while its new digit is 0 or 1.  Once the modulus
+exceeds the range, a class holds at most one exponent, and that exponent
+alone gets the exact digit check, which reads A * 2^m mod 3^w for doubling
+windows w and never builds A * 2^m itself.  The work grows like X^0.63
+instead of X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InsufficientDigits
-from .precision import math_floor_log3
+from .precision import math_floor_log3, power_le
 from .ternary import DyadicRational, int_omits_digit
 
-DEFAULT_RESIDUE_DEPTH = 12
+# depth of the per-depth candidate counts in a sieve report
+REPORT_DEPTH = 12
 
 
 def multiplicative_order_pow2(k: int) -> int:
@@ -28,19 +38,20 @@ def multiplicative_order_pow2(k: int) -> int:
 
 @dataclass(frozen=True)
 class PadicApprox:
-    """A 3-adic integer known through its k low-order digits.
+    """A 3-adic integer known modulo 3^precision.
 
-    digits are least-significant first and the length IS the precision, so
-    zeros in the top positions are meaningful.
+    value is the residue in [0, 3^precision); its top digits may be zero and
+    still count towards the precision.
     """
 
-    digits: tuple[int, ...]
+    value: int
+    precision: int
 
     def __post_init__(self) -> None:
-        if not all(d in (0, 1, 2) for d in self.digits):
-            raise ValueError("digits must lie in {0,1,2}")
-        if not self.digits:
+        if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        if not 0 <= self.value < 3**self.precision:
+            raise ValueError("value must lie in [0, 3^precision)")
 
     @classmethod
     def from_int(cls, value: int, precision: int) -> "PadicApprox":
@@ -48,27 +59,17 @@ class PadicApprox:
             raise ValueError("value must be >= 0")
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        v = value % 3**precision
-        digits = []
-        for _ in range(precision):
-            v, d = divmod(v, 3)
-            digits.append(d)
-        return cls(tuple(digits))
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
+        return cls(value % 3**precision, precision)
 
     def residue(self, k: int | None = None) -> int:
         """Value mod 3^k (k defaults to the full precision)."""
         if k is None:
-            k = self.precision
+            return self.value
+        if k < 0:
+            raise ValueError("k must be >= 0")
         if k > self.precision:
             raise InsufficientDigits(f"have {self.precision} digits, need {k}")
-        out = 0
-        for d in reversed(self.digits[:k]):
-            out = 3 * out + d
-        return out
+        return self.value % 3**k
 
 
 # survivor chains keyed by the multiplier residue they were built for
@@ -127,66 +128,79 @@ def _count_in_range(survivors: frozenset[int], modulus: int, lo: int, hi: int) -
     return total
 
 
-def _fully_digit2free_pow2(n: int, known_free: int) -> bool:
-    """Exact check that 2^n omits digit 2, scanning upward from the bottom.
+def _omits_two_above(A: int, m: int, known: int) -> bool:
+    """Exact check that A * 2^m omits digit 2, given its `known` low digits do.
 
-    known_free low digits were already vetted by the residue filter, so the
-    scan starts with a window just above them and doubles the window until a
-    digit 2 appears or the whole number is covered.
+    Reads the digits in doubling windows w from A * 2^m mod 3^w, stopping at
+    the first 2 or once 3^w exceeds A * 2^m: 3^w has more bits than
+    A.bit_length() + m, the most A * 2^m can have.
     """
-    total = math_floor_log3(1 << n) + 1
-    window = max(2 * known_free, 16)
-    checked = 0
-    while checked < total:
-        window = min(window, total)
-        v = pow(2, n, 3**window)
-        v //= 3**checked
-        for _ in range(window - checked):
-            v, d = divmod(v, 3)
-            if d == 2:
-                return False
-        checked = window
-        window *= 2
-    return True
+    size = A.bit_length() + m
+    checked, low = known, 3**known
+    while True:
+        w = max(2 * checked, 16)
+        top = 3**w
+        if not int_omits_digit(A * pow(2, m, top) % top // low, 2):
+            return False
+        if top.bit_length() > size:
+            return True
+        checked, low = w, top
 
 
-def enumerate_digit2free_powers(
-    X: int, residue_depth: int = DEFAULT_RESIDUE_DEPTH
-) -> list[int]:
-    """All exponents 0 <= n <= X for which 2^n omits the ternary digit 2.
+def _tree_survivors(A: int, lo: int, hi: int) -> list[int]:
+    """Sorted exponents m in [lo, hi] for which A * 2^m omits digit 2.
 
-    residue_depth = 0 selects the brute scan that checks every 2^n in full
-    (the oracle path); positive depth filters candidates through the survivor
-    residues first, which is what makes large X cheap.
+    A must be positive.  The walk is depth-first over the survivor tree; a
+    node is (r, j, v) with r a class mod 2*3^(j-1), r <= hi, and
+    v = A * 2^r mod 3^depth, where depth is the first level whose modulus
+    exceeds hi.  Lifting r by t * 2*3^(j-1) multiplies v by lift[j]^t, so
+    reading a new digit costs one small multiplication.  For A prime to 3
+    two of every three lifts survive; a factor 3^t of A only adds t zero
+    digits and lets every lift through t levels, so callers strip it.
     """
+    if hi < lo:
+        return []
+    depth = 1
+    while multiplicative_order_pow2(depth) <= hi:
+        depth += 1
+    mod = 3**depth
+    pow3 = [3**j for j in range(depth)]
+    lift = [0] + [pow(2, multiplicative_order_pow2(j), mod) for j in range(1, depth)]
+    out = []
+    stack = [(r, 1, A * pow(2, r, mod) % mod) for r in (0, 1) if r <= hi]
+    while stack:
+        r, j, v = stack.pop()
+        if v // pow3[j - 1] % 3 == 2:
+            continue
+        if j == depth:
+            if r >= lo and _omits_two_above(A, r, depth):
+                out.append(r)
+            continue
+        step, g = multiplicative_order_pow2(j), lift[j]
+        for n in range(r, min(r + 3 * step, hi + 1), step):
+            stack.append((n, j + 1, v))
+            v = v * g % mod
+    out.sort()
+    return out
+
+
+def enumerate_digit2free_powers(X: int) -> list[int]:
+    """All exponents 0 <= n <= X for which 2^n omits the ternary digit 2."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    if residue_depth < 0:
-        raise ValueError("residue_depth must be >= 0")
-
-    if residue_depth == 0:
-        return [n for n in range(X + 1) if int_omits_digit(1 << n, 2)]
-
-    depth = residue_depth
-    survivors = residue_survivors(depth)
-    modulus = multiplicative_order_pow2(depth)
-    ordered = sorted(survivors)
-    out = []
-    base = 0
-    while base <= X:
-        for r in ordered:
-            n = base + r
-            if n > X:
-                break
-            if _fully_digit2free_pow2(n, depth):
-                out.append(n)
-        base += modulus
-    return out
+    return _tree_survivors(1, 0, X)
 
 
 @dataclass(frozen=True)
 class SieveReport:
-    """Outcome of a sieve run over exponents 0..bound."""
+    """Outcome of a sieve run over exponents 0..bound.
+
+    counts_per_k[k-1] is the number of exponents in [0, bound] that survive
+    the residue filter at depth k, for k = 1..REPORT_DEPTH.  work_units is
+    the last of them: the depth-12 residue survivors, which a fixed-depth
+    scan would check in full.  It is not the number of exact checks the
+    survivor tree makes.
+    """
 
     bound: int
     survivors: tuple[int, ...]
@@ -205,63 +219,49 @@ class SieveReport:
 def narkiewicz_check(count: int, X: int) -> bool:
     """Exact test of count <= (81/50) * X^(63093/100000).
 
-    Cross-multiplied to integers: both sides are raised to the 100000th
-    power, so no rounding is involved anywhere.
+    Cross-multiplied to integers, (50 * count)^100000 <= 81^100000 *
+    X^63093, and decided by precision.power_le without rounding.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    return (count * 50) ** 100000 <= 81**100000 * X**63093
+    return power_le(50 * count, 100000, (81, 100000), (X, 63093))
 
 
-def sieve_report(X: int, residue_depth: int = DEFAULT_RESIDUE_DEPTH) -> SieveReport:
+def sieve_report(X: int) -> SieveReport:
     """Run the sieve and collect per-depth candidate counts plus the
     count bound check for the exact survivor list."""
-    survivors = enumerate_digit2free_powers(X, residue_depth)
-    depth = max(residue_depth, 1)
-    chain = survivor_chain(depth)
-    counts = []
-    for k, sk in enumerate(chain, start=1):
-        counts.append(_count_in_range(sk, multiplicative_order_pow2(k), 0, X))
-    # work: candidates that reached the exact check
-    work = counts[-1] if residue_depth >= 1 else X + 1
+    survivors = enumerate_digit2free_powers(X)
+    counts = tuple(
+        _count_in_range(sk, multiplicative_order_pow2(k), 0, X)
+        for k, sk in enumerate(survivor_chain(REPORT_DEPTH), start=1)
+    )
     exact_count = sum(1 for n in survivors if n >= 1)
     return SieveReport(
         bound=X,
         survivors=tuple(survivors),
-        counts_per_k=tuple(counts),
-        work_units=work,
+        counts_per_k=counts,
+        work_units=counts[-1],
         narkiewicz_ok=narkiewicz_check(exact_count, X),
     )
 
 
-def _iter_lambda_survivors(lam: DyadicRational, X: int):
+def survivors_N(lam: DyadicRational, X: int) -> tuple[int, ...]:
+    """Exponents 1 <= n <= X with floor(lam * 2^n) positive and digit-2-free."""
     if X < 1:
         raise ValueError("X must be >= 1")
     A, s = lam.numerator, lam.exponent
+    out = []
     for n in range(1, min(s, X) + 1):
         v = A >> (s - n)
         if v >= 1 and int_omits_digit(v, 2):
-            yield n
-    if X > s:
-        # n > s: the value is A * 2^(n-s) exactly; strip 2s from A so the
-        # survivor filter applies with an odd multiplier
-        e = 0
-        A_odd = A
-        while A_odd % 2 == 0:
-            A_odd //= 2
-            e += 1
-        depth = DEFAULT_RESIDUE_DEPTH
-        survivors = residue_survivors(depth, A_odd)
-        modulus = multiplicative_order_pow2(depth)
-        for n in range(s + 1, X + 1):
-            m = n - s + e
-            if m % modulus in survivors and int_omits_digit(A_odd << m, 2):
-                yield n
-
-
-def survivors_N(lam: DyadicRational, X: int) -> tuple[int, ...]:
-    """Exponents 1 <= n <= X with floor(lam * 2^n) positive and digit-2-free."""
-    return tuple(_iter_lambda_survivors(lam, X))
+            out.append(n)
+    # n > s: the value is A * 2^(n-s) = 3^t * core * 2^(n-s) with core prime
+    # to 3; it omits 2 exactly when core * 2^(n-s) does
+    core = A
+    while core % 3 == 0:
+        core //= 3
+    out.extend(m + s for m in _tree_survivors(core, 1, X - s))
+    return tuple(out)
 
 
 def count_N(lam: DyadicRational, X: int) -> int:
@@ -271,7 +271,7 @@ def count_N(lam: DyadicRational, X: int) -> int:
     integers whose expansion omits 2, and the empty expansion of 0 would
     otherwise qualify vacuously.
     """
-    return sum(1 for _ in _iter_lambda_survivors(lam, X))
+    return len(survivors_N(lam, X))
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,8 @@ def count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
 
     k is the depth whose residue modulus first reaches X, i.e.
     2*3^(k-2) < X <= 2*3^(k-1).  Requires lam to carry at least
-    ceil(log3 X) + 2 digits so those k digits are determined.
+    ceil(log3 X) + 2 digits so those k digits are determined.  The count is
+    checked against 2 * X^0.63093, as count^100000 <= 2^100000 * X^63093.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -309,5 +310,5 @@ def count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
         k += 1
     survivors = residue_survivors(k, lam.residue(k))
     count = _count_in_range(survivors, multiplicative_order_pow2(k), 1, X)
-    bound_ok = (count) ** 100000 <= 2**100000 * X**63093
+    bound_ok = power_le(count, 100000, (2, 100000), (X, 63093))
     return TildeCount(count=count, k=k, bound=X, bound_ok=bound_ok)

@@ -12,7 +12,9 @@ from mpmath import iv
 from ternpow import CFExpansion, cf_log3_2, check_lemma22
 from ternpow.errors import PrecisionError
 from ternpow.orbit.cf import _lemma22_holds
-from ternpow.precision import alpha0_iv, certified_sign, iv_endpoints, iv_prec
+from ternpow.precision import alpha0_iv, iv_endpoints, iv_prec
+
+from conftest import certified_sign
 
 
 def _ladder_sign(p: int, q: int) -> int:

@@ -17,18 +17,22 @@ from ternpow.precision import (
     alpha0_iv,
     certified_floor,
     certified_less_than,
-    certified_sign,
     compare_power3_power2,
     escalate,
     fraction_to_iv,
     iv_endpoints,
     iv_prec,
     log3_iv,
+    _power_bracket,
     math_floor_log3,
     mpf_to_fraction,
+    power_le,
     precision_cap,
     ulp,
 )
+from ternpow import census_bound_check, narkiewicz_check
+
+from conftest import certified_sign
 
 
 def test_escalate_runs_until_decidable():
@@ -202,3 +206,74 @@ def test_ulp_scales_with_magnitude():
         assert ulp(mp.mpf(1024), 53) == mp.mpf(2) ** (11 - 53)
     with pytest.raises(ValueError):
         ulp(mp.mpf(0), 53)
+
+
+def _literal_le(a, e, *factors):
+    rhs = 1
+    for b, f in factors:
+        rhs *= b**f
+    return a**e <= rhs
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=300),
+)
+def test_power_le_matches_literal_powers(a, e, b, f, c, g):
+    assert power_le(a, e, (b, f), (c, g)) == _literal_le(a, e, (b, f), (c, g))
+    assert power_le(a, e, (b, f)) == _literal_le(a, e, (b, f))
+
+
+@given(
+    st.integers(min_value=2, max_value=10**4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_power_le_ties_fall_back_to_literal_powers(a, e):
+    # equal sides, and sides one apart, are closer than any bracket
+    assert power_le(a, e, (a, e))
+    assert power_le(a, e, (a, e - 1), (a, 1))
+    assert power_le(a, e, (a**e, 1))
+    assert not power_le(a, e, (a**e - 1, 1))
+    assert power_le(a**e - 1, 1, (a, e))
+    assert not power_le(a**e + 1, 1, (a, e))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=0, max_value=3000),
+)
+def test_power_bracket_encloses_the_power(b, f):
+    exact = b**f
+    (m_lo, x_lo), (m_hi, x_hi) = (_power_bracket(((b, f),), up) for up in (False, True))
+    assert m_lo << x_lo <= exact <= m_hi << x_hi
+    assert m_hi.bit_length() <= 129
+    # the rounding loses at most a factor 1 + 2^-100 at these exponents
+    assert (m_hi << x_hi) - (m_lo << x_lo) <= exact >> 100
+
+
+def test_power_law_bounds_at_their_edges():
+    # count = 0: the left side is 0 for a positive exponent, and 0^0 = 1
+    assert power_le(0, 100000, (81, 100000), (7, 63093))
+    assert narkiewicz_check(0, 1)
+    assert power_le(0, 0, (1, 5))
+    assert not power_le(0, 0, (0, 5))
+    # exact equalities the brackets cannot separate
+    assert census_bound_check(25, 1)
+    assert not census_bound_check(26, 1)
+    assert power_le(2, 100000, (2, 100000), (1, 63093))  # tilde bound, (2, 1)
+    assert not power_le(3, 100000, (2, 100000), (1, 63093))
+    assert narkiewicz_check(1, 1) and not narkiewicz_check(2, 1)
+    # around the Narkiewicz bound 1.62 * X^0.63093 = 541.05 at X = 10^4
+    assert narkiewicz_check(541, 10**4) and not narkiewicz_check(542, 10**4)
+    for count in (540, 541, 542):
+        assert narkiewicz_check(count, 10**4) == _literal_le(
+            50 * count, 100000, (81, 100000), (10**4, 63093)
+        )
+    with pytest.raises(ValueError):
+        power_le(-1, 2, (3, 4))
+    with pytest.raises(ValueError):
+        power_le(1, 2, (3, -4))

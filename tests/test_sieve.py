@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,69 @@ from ternpow import (
     survivor_chain,
     survivors_N,
 )
+from ternpow.precision import math_floor_log3
+
+
+def _brute_powers(X: int) -> list[int]:
+    """Depth-0 oracle: every 2^n checked in full."""
+    return [n for n in range(X + 1) if int_omits_digit(1 << n, 2)]
+
+
+def _fully_digit2free_pow2(n: int, known_free: int) -> bool:
+    """Exact check that 2^n omits digit 2, in doubling windows from the bottom."""
+    total = math_floor_log3(1 << n) + 1
+    window = max(2 * known_free, 16)
+    checked = 0
+    while checked < total:
+        window = min(window, total)
+        v = pow(2, n, 3**window)
+        v //= 3**checked
+        for _ in range(window - checked):
+            v, d = divmod(v, 3)
+            if d == 2:
+                return False
+        checked = window
+        window *= 2
+    return True
+
+
+def _residue_scan_powers(X: int, depth: int) -> list[int]:
+    """Fixed-depth oracle: every exponent in a depth-k survivor class is
+    checked in full."""
+    modulus = multiplicative_order_pow2(depth)
+    ordered = sorted(residue_survivors(depth))
+    out = []
+    for base in range(0, X + 1, modulus):
+        for r in ordered:
+            n = base + r
+            if n > X:
+                break
+            if _fully_digit2free_pow2(n, depth):
+                out.append(n)
+    return out
+
+
+def _scan_lambda_survivors(lam: DyadicRational, X: int) -> tuple[int, ...]:
+    """Oracle for survivors_N: scan every exponent, filtered by the depth-12
+    survivor residues of the odd part of the multiplier."""
+    A, s = lam.numerator, lam.exponent
+    out = []
+    for n in range(1, min(s, X) + 1):
+        v = A >> (s - n)
+        if v >= 1 and int_omits_digit(v, 2):
+            out.append(n)
+    e = 0
+    A_odd = A
+    while A_odd % 2 == 0:
+        A_odd //= 2
+        e += 1
+    survivors = residue_survivors(12, A_odd)
+    modulus = multiplicative_order_pow2(12)
+    for n in range(s + 1, X + 1):
+        m = n - s + e
+        if m % modulus in survivors and int_omits_digit(A_odd << m, 2):
+            out.append(n)
+    return tuple(out)
 
 
 def test_multiplicative_order_matches_brute():
@@ -75,21 +139,25 @@ def test_survivor_chain_other_multipliers(a):
 
 def test_enumerate_powers_known_survivors():
     assert enumerate_digit2free_powers(4374) == [0, 2, 8]
-    # depth 0 selects the brute oracle path
-    assert enumerate_digit2free_powers(2000, residue_depth=0) == [0, 2, 8]
+    assert _brute_powers(2000) == [0, 2, 8]
     with pytest.raises(ValueError):
         enumerate_digit2free_powers(0)
-    with pytest.raises(ValueError):
-        enumerate_digit2free_powers(10, residue_depth=-1)
 
 
 def test_sieve_paths_agree():
-    # depth 0 checks every 2^n in full; depths 5 and 12 filter by residues
+    # the survivor tree against the depth-0 brute scan and the fixed-depth
+    # residue scans at depths 5 and 12
     for X in (1, 2, 7, 8, 9, 600, 4374, 20_000):
-        oracle = enumerate_digit2free_powers(X, residue_depth=0)
+        oracle = _brute_powers(X)
         assert oracle == [n for n in (0, 2, 8) if n <= X]
-        assert enumerate_digit2free_powers(X, residue_depth=5) == oracle
+        assert _residue_scan_powers(X, 5) == oracle
         assert enumerate_digit2free_powers(X) == oracle
+    assert enumerate_digit2free_powers(100_000) == _residue_scan_powers(100_000, 12)
+
+
+def test_tree_reaches_large_bounds():
+    # about 0.07 s with the tree; a per-candidate power of 3 would take minutes
+    assert enumerate_digit2free_powers(10**6) == [0, 2, 8]
 
 
 def test_sieve_report_frozen_run():
@@ -100,6 +168,19 @@ def test_sieve_report_frozen_run():
         2188, 1459, 973, 649, 433, 289, 193, 129, 99, 66, 41, 28,
     )
     assert rep.work_units == 28
+    assert rep.narkiewicz_ok
+
+
+def test_sieve_report_below_report_depth():
+    # 400000 > 2*3^11, so the tree descends to depth 13 while the report's
+    # counts stay those of the depth-12 residue scan
+    rep = sieve_report(400_000)
+    assert rep.survivors == (0, 2, 8)
+    assert rep.counts_per_k == (
+        200001, 133334, 88890, 59261, 39508, 26340,
+        17563, 11711, 7813, 5208, 3489, 2331,
+    )
+    assert rep.work_units == 2331
     assert rep.narkiewicz_ok
 
 
@@ -140,9 +221,35 @@ def test_padic_approx_residues():
     with pytest.raises(InsufficientDigits):
         lam.residue(5)
     with pytest.raises(ValueError):
-        PadicApprox(())
+        lam.residue(-1)
     with pytest.raises(ValueError):
-        PadicApprox((3,))
+        PadicApprox(0, 0)
+    with pytest.raises(ValueError):
+        PadicApprox(9, 2)
+
+
+def test_survivors_match_scan_oracle():
+    rng = random.Random(2005)
+    lams = [
+        DyadicRational.from_pair(rng.randrange(1, 2000, 2), rng.randint(0, 5))
+        for _ in range(40)
+    ]
+    lams += [DyadicRational.parse(t) for t in ("729", "1215/2^5", "2187/2^3")]
+    for lam in lams:
+        assert survivors_N(lam, 30_000) == _scan_lambda_survivors(lam, 30_000), lam
+
+
+def test_survivors_for_multiples_of_two_and_three():
+    # 3^t * A' * 2^m omits 2 exactly when A' * 2^m does, and an even A
+    # (exponent 0) is one more power of 2
+    for text, want in (("1", (2, 8)), ("12", (6,)), ("6", (1, 7)), ("729", (2, 8))):
+        lam = DyadicRational.parse(text)
+        assert survivors_N(lam, 5000) == want == _scan_lambda_survivors(lam, 5000)
+    # n <= s reads floor(lam * 2^n) directly; only n > s walks the tree
+    lam = DyadicRational.parse("1/2^9")
+    assert survivors_N(lam, 8) == ()
+    assert survivors_N(lam, 9) == (9,)
+    assert survivors_N(lam, 20) == (9, 11, 17) == _scan_lambda_survivors(lam, 20)
 
 
 def test_count_positive_floor_values_pure_powers():
