@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import SizeGuardError
-from ..precision import MIN_PRECISION, iv_endpoints, log3_iv
+from ..precision import MIN_PRECISION, log3_bounds
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
@@ -181,12 +181,6 @@ class DimensionEstimate:
         return self.exact and self.rho_lo == self.rho_hi == 1
 
 
-def _log3_enclosure(fr: Fraction) -> tuple[Fraction, Fraction]:
-    if fr == 1:
-        return Fraction(0), Fraction(0)
-    return iv_endpoints(log3_iv(fr, MIN_PRECISION))
-
-
 def hausdorff_dimension(
     ms,
     *,
@@ -213,8 +207,8 @@ def hausdorff_dimension(
         rho_lo, rho_hi = max(rho_lo, lo), max(rho_hi, hi)
         converged = converged and ok
 
-    dim_lo = _log3_enclosure(rho_lo)[0]
-    dim_hi = _log3_enclosure(rho_hi)[1]
+    dim_lo = log3_bounds(rho_lo, MIN_PRECISION)[0]
+    dim_hi = log3_bounds(rho_hi, MIN_PRECISION)[1]
     counts = prefix_counts(built, prefix_depth)
     return DimensionEstimate(
         multipliers=built.multipliers,

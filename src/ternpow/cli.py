@@ -248,7 +248,9 @@ def _build_parser() -> _Parser:
         help="orbit offset x (decimal or A/B)",
     )
     p.add_argument("--brute-check", action="store_true")
-    p.add_argument("--prec", type=int, default=DEFAULT_GAP_PRECISION)
+    p.add_argument(
+        "--prec", type=_int_at_least(MIN_PRECISION), default=DEFAULT_GAP_PRECISION
+    )
 
     p = sub.add_parser(
         "census",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..precision import alpha0_iv, escalate, iv_endpoints
+from ..precision import alpha0_bounds, escalate, power_le
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def cf_log3_2(depth: int) -> CFExpansion:
         raise ValueError("depth must be >= 1")
 
     def attempt(prec: int) -> list[int] | None:
-        lo, hi = iv_endpoints(alpha0_iv(prec))
+        lo, hi = alpha0_bounds(prec)
         quotients = _shared_quotients(lo, hi, depth + 1)
         return quotients if len(quotients) > depth else None
 
@@ -104,28 +104,16 @@ def cf_log3_2(depth: int) -> CFExpansion:
     return CFExpansion.from_quotients(quotients)
 
 
-def _lemma22_holds(qn: int, qn1: int) -> bool:
-    """Exact qn^10 <= 1200^10 * qn1^133, from bit lengths when they decide.
-
-    With 2^(b-1) <= qn < 2^b, 2^(c-1) <= qn1 < 2^c and 2^10 < 1200 < 2^11,
-    the left side lies in [2^(10b-10), 2^(10b)) and the right side in
-    (2^(100+133c-133), 2^(110+133c)); the literal powers are built only
-    when those ranges overlap.
-    """
-    b, c = qn.bit_length(), qn1.bit_length()
-    if 10 * b <= 100 + 133 * (c - 1):
-        return True
-    if 10 * (b - 1) >= 110 + 133 * c:
-        return False
-    return qn**10 <= 1200**10 * qn1**133
-
-
 def check_lemma22(cf: CFExpansion) -> list[bool]:
     """Per-index verdicts of q_n <= 1200 * q_{n-1}^13.3 for n = 1..depth.
 
     The comparison is exact: both sides are raised to the 10th power, turning
-    13.3 into the integer exponent 133.
+    13.3 into the integer exponent 133, and ``power_le`` decides
+    q_n^10 <= 1200^10 * q_{n-1}^133.
     """
     if cf.depth < 1:
         raise ValueError("need at least two convergents")
-    return [_lemma22_holds(cf.q(n), cf.q(n - 1)) for n in range(1, cf.depth + 1)]
+    return [
+        power_le(cf.q(n), 10, (1200, 10), (cf.q(n - 1), 133))
+        for n in range(1, cf.depth + 1)
+    ]

@@ -19,16 +19,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from ..errors import InsufficientDepth, PrecisionError
 from ..precision import (
     MIN_PRECISION,
-    alpha0_iv,
+    alpha0_bounds,
     certified_floor,
     certified_less_than,
     compare_power3_power2,
-    iv_prec,
+    log3_bounds,
+    power_le,
 )
 from ..ternary import (
     DyadicRational,
@@ -67,11 +66,11 @@ def _champion_ladder(cf: CFExpansion) -> list[tuple[int, int]]:
 
 
 def _frac_enclosure_maker(l: int, shift: int):
-    """make(prec) -> enclosure of l * alpha0 - shift."""
+    """make(prec) -> exact bounds of l * alpha0 - shift, for l >= 0."""
 
-    def make(prec: int):
-        with iv_prec(prec):
-            return iv.mpf(l) * alpha0_iv(prec) - shift
+    def make(prec: int) -> tuple[Fraction, Fraction]:
+        lo, hi = alpha0_bounds(prec)
+        return l * lo - shift, l * hi - shift
 
     return make
 
@@ -162,10 +161,7 @@ def find_lk(m_prev: int, k: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> FindLk
         scan_certified = True
 
     e10 = 10 * (m_prev + 2 * k - 7)
-    if e10 <= 0:
-        lower_bound_ok = l**133 * 2 ** (-e10) >= 1
-    else:
-        lower_bound_ok = l**133 >= 2**e10
+    lower_bound_ok = e10 <= 0 or power_le(2, e10, (l, 133))
     return FindLk(
         l=l,
         r=r,
@@ -461,18 +457,21 @@ def _low_window_in_bounds_certified(
     """Certified M_prev * (2^l - 3^r) <= 3^(r-k) without materializing.
 
     Scaled by 3^-(r-k) the claim reads M_prev * 3^k * (3^frac - 1) < 1 with
-    frac = l * alpha0 - r, which interval arithmetic settles at modest
-    precision.
+    frac = l * alpha0 - r; since 3^x is increasing, that is
+    frac - log3(1 + 1/(M_prev * 3^k)) < 0, which exact bounds on both logs
+    settle at modest precision.
     """
+    frac = _frac_enclosure_maker(l, r)
+    target = 1 + Fraction(1, M_prev * 3**k)
 
-    def make(prec: int):
-        with iv_prec(prec):
-            fr = iv.mpf(l) * alpha0_iv(prec) - r
-            return (iv.exp(fr * iv.log(3)) - 1) * M_prev * 3**k
+    def make(prec: int) -> tuple[Fraction, Fraction]:
+        flo, fhi = frac(prec)
+        tlo, thi = log3_bounds(target, prec)
+        return flo - thi, fhi - tlo
 
     return certified_less_than(
         make,
-        Fraction(1),
+        Fraction(0),
         start=max(MIN_PRECISION, l.bit_length() + M_prev.bit_length() + 64),
         what="low window bound",
     )

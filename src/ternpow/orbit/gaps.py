@@ -15,11 +15,24 @@ from fractions import Fraction
 from mpmath import mp
 
 from ..errors import InsufficientDepth, PrecisionError
-from ..precision import alpha0_mpf, ulp
 from .cf import CFExpansion
 
 DEFAULT_GAP_PRECISION = 256
 _GUARD_BITS = 64
+
+
+def alpha0_mpf(prec: int):
+    """Round-to-nearest float for log 2 / log 3 at ``prec`` bits."""
+    with mp.workprec(prec):
+        return mp.log(2) / mp.log(3)
+
+
+def ulp(x, prec: int):
+    """Unit in the last place of a nonzero float at ``prec`` bits."""
+    m = abs(mp.mpf(x))
+    if m == 0:
+        raise ValueError("ulp of zero")
+    return mp.mpf(2) ** (mp.mag(m) - prec)
 
 
 def _theta_value(theta, prec: int):

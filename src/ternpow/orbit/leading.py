@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InsufficientDigits
-from ..precision import iv_endpoints, log3_iv, math_floor_log3, power_le
+from ..precision import log3_bounds, math_floor_log3, power_le
 from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit, leading_digits
 from .cf import CFExpansion, cf_log3_2
 
@@ -50,15 +50,7 @@ class LeadingInterval:
 
     def _endpoint(self, B: int, prec: int) -> tuple[Fraction, Fraction]:
         # log3(B) - (k-1), exact when B is a power of 3
-        e = 0
-        v = B
-        while v % 3 == 0:
-            v //= 3
-            e += 1
-        if v == 1:
-            exact = Fraction(e - (self.k - 1))
-            return exact, exact
-        lo, hi = iv_endpoints(log3_iv(B, prec))
+        lo, hi = log3_bounds(B, prec)
         return lo - (self.k - 1), hi - (self.k - 1)
 
     def left_enclosure(self, prec: int = 256) -> tuple[Fraction, Fraction]:

@@ -1,13 +1,18 @@
 """Certified real arithmetic for every inexact decision in the package.
 
-Real-valued comparisons (log ratios, fractional parts, interval endpoints)
-are never decided on bare floats.  Each quantity is evaluated as an interval
-enclosure (mpmath's ``iv`` context); a decision is accepted only when the
-enclosure separates cleanly from the threshold, and otherwise the working
-precision doubles up to a configurable cap.  Quantities that are exactly
-representable (integers, dyadic rationals) enter the intervals exactly, so
-an escalation loop can only stall on a genuine tie, which callers rule out
+Real-valued comparisons (log ratios, fractional parts, window endpoints)
+are never decided on bare floats.  An enclosure is a ``(lo, hi)`` pair of
+exact Fractions with lo <= x <= hi.  A decision is accepted only when the
+pair separates cleanly from the threshold, and otherwise the working
+precision doubles up to a configurable cap.  Callers combine pairs in exact
+rational arithmetic (l * log3(2) - r is ``(l*lo - r, l*hi - r)``), so an
+escalation loop can only stall on a genuine tie, which callers rule out
 arithmetically before asking.
+
+The pairs come from ``alpha0_bounds`` and ``log3_bounds``, which read the
+endpoints of mpmath interval logs exactly.  mpmath appears only in this
+module and, until the three-gap sweep is made exact, in ``orbit/gaps.py``
+and in the CLI's printer for its float arc lengths.
 
 Questions about log3(2) itself, such as which of 3^p and 2^q is larger,
 read the exact rational endpoints of a single enclosure lo < log3(2) < hi
@@ -30,16 +35,6 @@ from mpmath import iv, mp
 
 from .errors import PrecisionError
 
-
-@contextmanager
-def iv_prec(prec: int):
-    """Temporarily set the interval context precision (iv lacks workprec)."""
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        yield iv
-    finally:
-        iv.prec = saved
 
 # Working precision floor and default escalation cap, in bits.  The cap can
 # be overridden per call or process-wide through TERNARY_PRECISION_CAP.
@@ -83,29 +78,36 @@ def escalate(
     raise PrecisionError(f"{what} still ambiguous at cap {limit} bits")
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    man, exp = int(man), int(exp)  # backend may hand out gmpy2.mpz
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite value has no rational form")
-    value = Fraction(man, 1) * Fraction(2) ** exp
-    return -value if sign else value
+@contextmanager
+def _iv_prec(prec: int):
+    """Temporarily set the interval context precision (iv lacks workprec)."""
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpmath float (no re-rounding)."""
-    if isinstance(x, int):
-        return Fraction(x)
-    return _raw_to_fraction(x._mpf_)
+def _endpoints(x) -> tuple[Fraction, Fraction]:
+    """Exact rational endpoints of an mpmath interval (raw, no re-rounding)."""
+    ends = []
+    for sign, man, exp, _ in x._mpi_:
+        man, exp = int(man), int(exp)  # backend may hand out gmpy2.mpz
+        if man == 0 and exp != 0:
+            raise ValueError("non-finite value has no rational form")
+        value = man * Fraction(2) ** exp
+        ends.append(-value if sign else value)
+    return ends[0], ends[1]
 
 
-def exact_mpf(man: int, shift: int):
+def _exact_mpf(man: int, shift: int):
     """The exact float man * 2^shift (no rounding; workprec covers man)."""
     with mp.workprec(max(abs(man).bit_length(), 8) + 4):
         return mp.mpf(man) * mp.mpf(2) ** shift
 
 
-def fraction_to_iv(fr: Fraction, prec: int):
+def _fraction_to_iv(fr: Fraction, prec: int):
     """Interval enclosing an exact rational, with outward directed rounding.
 
     Builds dyadic endpoints by integer shifts so the enclosure never relies
@@ -116,50 +118,47 @@ def fraction_to_iv(fr: Fraction, prec: int):
     scaled = num << prec
     lo_man = scaled // den  # floor works for either sign
     hi_man = lo_man if lo_man * den == scaled else lo_man + 1
-    with iv_prec(prec + 8):
-        return iv.mpf([exact_mpf(lo_man, -prec), exact_mpf(hi_man, -prec)])
+    with _iv_prec(prec + 8):
+        return iv.mpf([_exact_mpf(lo_man, -prec), _exact_mpf(hi_man, -prec)])
 
 
-def iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an interval (raw, no re-rounding)."""
-    raw_a, raw_b = x._mpi_
-    return _raw_to_fraction(raw_a), _raw_to_fraction(raw_b)
+def alpha0_bounds(prec: int) -> tuple[Fraction, Fraction]:
+    """Exact bounds lo < log3(2) = log 2 / log 3 < hi at ``prec`` bits."""
+    with _iv_prec(prec):
+        return _endpoints(iv.log(2) / iv.log(3))
 
 
-def alpha0_iv(prec: int):
-    """Enclosure of log 2 / log 3 at ``prec`` bits."""
-    with iv_prec(prec):
-        return iv.log(2) / iv.log(3)
+def log3_bounds(value: int | Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Exact bounds lo <= log3(value) <= hi for a positive exact rational.
 
-
-def log3_iv(value: int | Fraction, prec: int):
-    """Enclosure of log base 3 of a positive exact rational."""
+    The bounds are the single point (e, e) when value = 3^e for an integer
+    e; otherwise they come from a ``prec``-bit interval evaluation.
+    """
     fr = Fraction(value)
     if fr <= 0:
         raise ValueError("log of non-positive value")
-    with iv_prec(prec):
-        x = fraction_to_iv(fr, prec)
-        return iv.log(x) / iv.log(3)
-
-
-def alpha0_mpf(prec: int):
-    """Round-to-nearest float for log 2 / log 3 at ``prec`` bits."""
-    with mp.workprec(prec):
-        return mp.log(2) / mp.log(3)
+    n, d = fr.numerator, fr.denominator
+    if min(n, d) == 1:
+        e = math_floor_log3(n * d) * (1 if d == 1 else -1)
+        if Fraction(3) ** e == fr:
+            return Fraction(e), Fraction(e)
+    with _iv_prec(prec):
+        return _endpoints(iv.log(_fraction_to_iv(fr, prec)) / iv.log(3))
 
 
 def certified_less_than(
-    make: Callable[[int], object],
+    make: Callable[[int], tuple[Fraction, Fraction]],
     threshold: Fraction,
     *,
     start: int = MIN_PRECISION,
     cap: int | None = None,
     what: str = "comparison",
 ) -> bool:
-    """Decide x < threshold for an interval-valued x that never ties."""
+    """Decide x < threshold for a real x that never ties with it, given
+    exact bounds ``make(prec)`` = (lo, hi) of x at ``prec`` bits."""
 
     def attempt(prec: int) -> bool | None:
-        lo, hi = iv_endpoints(make(prec))
+        lo, hi = make(prec)
         if hi < threshold:
             return True
         if lo > threshold:
@@ -170,16 +169,17 @@ def certified_less_than(
 
 
 def certified_floor(
-    make: Callable[[int], object],
+    make: Callable[[int], tuple[Fraction, Fraction]],
     *,
     start: int = MIN_PRECISION,
     cap: int | None = None,
     what: str = "floor",
 ) -> int:
-    """Floor of an interval-valued real that is provably non-integral."""
+    """Floor of a provably non-integral real, given exact bounds
+    ``make(prec)`` = (lo, hi) of it at ``prec`` bits."""
 
     def attempt(prec: int) -> int | None:
-        lo, hi = iv_endpoints(make(prec))
+        lo, hi = make(prec)
         flo = lo.numerator // lo.denominator
         fhi = hi.numerator // hi.denominator
         return flo if flo == fhi else None
@@ -200,7 +200,7 @@ def compare_power3_power2(p: int, q: int, *, cap: int | None = None) -> int:
         return 0
 
     def attempt(prec: int) -> int | None:
-        lo, hi = iv_endpoints(alpha0_iv(prec))
+        lo, hi = alpha0_bounds(prec)
         if q < 0:
             lo, hi = hi, lo
         if p * hi.denominator > q * hi.numerator:
@@ -210,14 +210,6 @@ def compare_power3_power2(p: int, q: int, *, cap: int | None = None) -> int:
         return None
 
     return escalate(attempt, cap=cap, what=f"sign(3^{p} - 2^{q})")
-
-
-def ulp(x, prec: int):
-    """Unit in the last place of a nonzero float at ``prec`` bits."""
-    m = abs(mp.mpf(x))
-    if m == 0:
-        raise ValueError("ulp of zero")
-    return mp.mpf(2) ** (mp.mag(m) - prec)
 
 
 def math_floor_log3(x: int) -> int:

@@ -308,7 +308,12 @@ def count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
     k = 1
     while multiplicative_order_pow2(k) < X:
         k += 1
-    survivors = residue_survivors(k, lam.residue(k))
-    count = _count_in_range(survivors, multiplicative_order_pow2(k), 1, X)
+    residue = lam.residue(k)
+    if residue == 0:
+        count = X  # 0 * 2^n has only zero digits
+    else:
+        count = _count_in_range(
+            residue_survivors(k, residue), multiplicative_order_pow2(k), 1, X
+        )
     bound_ok = power_le(count, 100000, (2, 100000), (X, 63093))
     return TildeCount(count=count, k=k, bound=X, bound_ok=bound_ok)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from fractions import Fraction
 from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, settings
+from mpmath import iv
 
 from ternpow import cf_log3_2
-from ternpow.precision import escalate, iv_endpoints
+from ternpow.precision import escalate
 
 settings.register_profile(
     "default",
@@ -27,6 +30,26 @@ def cf14():
 @pytest.fixture(scope="session")
 def cf40():
     return cf_log3_2(40)
+
+
+@contextmanager
+def iv_prec(prec: int):
+    """Temporarily set mpmath's interval precision, for the test oracles."""
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def iv_endpoints(x) -> tuple[Fraction, Fraction]:
+    """Exact rational endpoints of an mpmath interval."""
+    ends = []
+    for sign, man, exp, _ in x._mpi_:
+        value = int(man) * Fraction(2) ** int(exp)
+        ends.append(-value if sign else value)
+    return ends[0], ends[1]
 
 
 def certified_sign(make: Callable[[int], object]) -> int:

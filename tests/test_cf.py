@@ -11,10 +11,9 @@ from mpmath import iv
 
 from ternpow import CFExpansion, cf_log3_2, check_lemma22
 from ternpow.errors import PrecisionError
-from ternpow.orbit.cf import _lemma22_holds
-from ternpow.precision import alpha0_iv, iv_endpoints, iv_prec
+from ternpow.precision import alpha0_bounds, power_le
 
-from conftest import certified_sign
+from conftest import certified_sign, iv_prec
 
 
 def _ladder_sign(p: int, q: int) -> int:
@@ -100,7 +99,7 @@ def test_depth_extension_is_consistent(cf40):
 def test_convergents_alternate_around_target(cf14):
     # even-index convergents sit below log3(2), odd ones above, and the
     # enclosure of log3(2) separates them
-    lo, hi = iv_endpoints(alpha0_iv(256))
+    lo, hi = alpha0_bounds(256)
     for n in range(1, cf14.depth + 1):
         frac = Fraction(cf14.p(n), cf14.q(n))
         if n % 2 == 0:
@@ -110,7 +109,7 @@ def test_convergents_alternate_around_target(cf14):
 
 
 def test_convergents_approximate_quadratically(cf14):
-    lo, hi = iv_endpoints(alpha0_iv(256))
+    lo, hi = alpha0_bounds(256)
     for n in range(1, cf14.depth):
         q, p = cf14.q(n), cf14.p(n)
         err_hi = max(abs(hi - Fraction(p, q)), abs(lo - Fraction(p, q)))
@@ -149,6 +148,10 @@ def test_growth_check_is_exact_power_comparison():
     verdicts = check_lemma22(huge)
     assert verdicts[0] is True
     assert verdicts[1] is False
+    # q_1 = 2 and q_2 = 2a + 1 around the largest q_2 = 12102642 with
+    # q_2^10 <= 1200^10 * 2^133
+    assert check_lemma22(CFExpansion.from_quotients((0, 2, 6051320))) == [True, True]
+    assert check_lemma22(CFExpansion.from_quotients((0, 2, 6051321))) == [True, False]
     with pytest.raises(ValueError):
         check_lemma22(CFExpansion.from_quotients((0,)))
 
@@ -176,21 +179,25 @@ def test_growth_check_matches_literal_powers(cf400):
     assert check_lemma22(cf400) == literal
 
 
-def test_growth_check_bit_length_shortcut_at_corners():
-    # the bit-length bounds are tightest at the ends of each bit-length
-    # range, so sweep those ends across the band where b is near 13.3 * c
+def _lemma22_power_le(qn: int, qn1: int) -> bool:
+    return power_le(qn, 10, (1200, 10), (qn1, 133))
+
+
+def test_growth_check_power_le_at_bit_length_corners():
+    # the two sides are closest where b is near 13.3 * c, so sweep the ends
+    # of each bit-length range across that band
     for c in range(1, 41):
         for qn1 in (1 << (c - 1), (1 << c) - 1):
             for b in range(max(1, 13 * c - 20), 14 * c + 21):
                 for qn in (1 << (b - 1), (1 << b) - 1):
-                    assert _lemma22_holds(qn, qn1) == _lemma22_literal(qn, qn1)
+                    assert _lemma22_power_le(qn, qn1) == _lemma22_literal(qn, qn1)
 
 
 @given(st.data())
-def test_growth_check_bit_length_shortcut_near_boundary(data):
-    # the literal fallback only runs when b is near 13.3 * c, so sample there
+def test_growth_check_power_le_near_boundary(data):
+    # sample where b is near 13.3 * c, where the verdict can go either way
     c = data.draw(st.integers(min_value=1, max_value=40))
     b = data.draw(st.integers(min_value=max(1, 13 * c - 20), max_value=14 * c + 20))
     qn = data.draw(st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1))
     qn1 = data.draw(st.integers(min_value=1 << (c - 1), max_value=(1 << c) - 1))
-    assert _lemma22_holds(qn, qn1) == _lemma22_literal(qn, qn1)
+    assert _lemma22_power_le(qn, qn1) == _lemma22_literal(qn, qn1)

@@ -214,6 +214,9 @@ def test_computation_errors_exit_two(capsys):
         ["census", "--lambda", "1", "--max", "1"],
         ["census", "--lambda", "-1", "--max", "10"],
         ["three-gap", "--N", "0"],
+        ["three-gap", "--N", "10", "--prec", "8"],
+        ["three-gap", "--N", "10", "--prec", "0"],
+        ["three-gap", "--N", "10", "--prec", "-100"],
         ["cf", "--depth", "0"],
         ["dimension", "--multipliers", "a"],
         ["dimension", "--multipliers", "1,7", "--prefix-depth", "0"],

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from mpmath import iv
 
 from ternpow import (
     ConstructionState,
@@ -11,6 +14,58 @@ from ternpow import (
     int_omits_digit,
     leading_digits,
 )
+from ternpow.orbit.construction import (
+    _floor_multiple_alpha0,
+    _frac_below_threshold,
+    _low_window_in_bounds_certified,
+)
+from ternpow.precision import MIN_PRECISION, certified_floor, certified_less_than
+
+from conftest import iv_endpoints, iv_prec
+
+L2 = 325919355854421968365
+R2 = 205632218873398596256
+M1 = 73846560566123567532
+
+
+def _frac_enclosure_maker(l: int, shift: int):
+    """The interval maker the construction used before exact bounds:
+    make(prec) -> endpoints of l * alpha0 - shift evaluated in mpmath iv."""
+
+    def make(prec: int):
+        with iv_prec(prec):
+            return iv_endpoints(iv.mpf(l) * (iv.log(2) / iv.log(3)) - shift)
+
+    return make
+
+
+def _iv_frac_below_threshold(l: int, r: int, texp: int) -> bool:
+    return certified_less_than(
+        _frac_enclosure_maker(l, r),
+        Fraction(1, 2**texp),
+        start=max(MIN_PRECISION, l.bit_length() + texp + 32),
+    )
+
+
+def _iv_floor_multiple_alpha0(m: int) -> int:
+    return certified_floor(
+        _frac_enclosure_maker(m, 0), start=max(MIN_PRECISION, m.bit_length() + 64)
+    )
+
+
+def _iv_low_window(M_prev: int, l: int, r: int, k: int) -> bool:
+    """The interval test M_prev * 3^k * (3^frac - 1) < 1 it replaced."""
+
+    def make(prec: int):
+        with iv_prec(prec):
+            fr = iv.mpf(l) * (iv.log(2) / iv.log(3)) - r
+            return iv_endpoints((iv.exp(fr * iv.log(3)) - 1) * M_prev * 3**k)
+
+    return certified_less_than(
+        make,
+        Fraction(1),
+        start=max(MIN_PRECISION, l.bit_length() + M_prev.bit_length() + 64),
+    )
 
 
 def test_find_lk_level_one():
@@ -27,8 +82,8 @@ def test_find_lk_level_one():
 def test_find_lk_level_two_scalars():
     fk = find_lk(65, 2)
     assert fk.threshold_exponent == 65 + 4 + 4
-    assert fk.l == 325919355854421968365
-    assert fk.r == 205632218873398596256
+    assert fk.l == L2
+    assert fk.r == R2
     assert not fk.scan_certified  # winner far beyond the exhaustive range
     assert fk.lower_bound_ok
 
@@ -145,3 +200,36 @@ def test_state_validation_catches_inconsistent_scalars():
             M=st.M,
             reports=st.reports,
         )
+
+
+def test_exact_alpha0_tests_match_interval_oracle():
+    floors = {l: _floor_multiple_alpha0(l) for l in range(2, 200)}
+    assert floors == {l: _iv_floor_multiple_alpha0(l) for l in floors}
+    assert _floor_multiple_alpha0(L2) == _iv_floor_multiple_alpha0(L2) == R2
+    for k in (1, 2, 3):
+        for m_prev in (0, 5, 65, 100):
+            texp = m_prev + 2 * k + 4
+            for l in range(2 * k, 200):
+                p = floors[l]
+                assert _frac_below_threshold(l, p, texp) == _iv_frac_below_threshold(
+                    l, p, texp
+                ), (l, k, m_prev)
+    assert _frac_below_threshold(65, 41, 6)
+    assert _frac_below_threshold(L2, R2, 73)
+
+
+def test_low_window_log_test_matches_exp_oracle():
+    # the level-2 window of the min-policy construction, then multipliers
+    # growing past the point where M * 3^k * (3^frac - 1) crosses 1
+    assert _low_window_in_bounds_certified(M1, L2, R2, 2)
+    assert _iv_low_window(M1, L2, R2, 2)
+    verdicts = []
+    for j in range(60, 100, 3):
+        got = _low_window_in_bounds_certified(1 << j, L2, R2, 2)
+        assert got == _iv_low_window(1 << j, L2, R2, 2), j
+        verdicts.append(got)
+    for M_prev in (2, 3, 4, 5, 7, 10, 100):
+        got = _low_window_in_bounds_certified(M_prev, 65, 41, 1)
+        assert got == _iv_low_window(M_prev, 65, 41, 1), M_prev
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts

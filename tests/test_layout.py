@@ -1,0 +1,54 @@
+"""Module boundaries: which files may import the numeric libraries."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import ternpow.precision
+
+PACKAGE = Path(ternpow.precision.__file__).parent
+
+# certified enclosures come from precision.py; gaps.py keeps its float sweep
+# and cli.py its mpf serializer until the three-gap spectrum is exact
+ALLOWED = {
+    "mpmath": {"precision.py", "orbit/gaps.py", "cli.py"},
+    "sympy": {"cantor/dimension.py", "acceptance.py"},
+}
+
+
+def _imported_roots(path: Path) -> set[str]:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_numeric_libraries_stay_behind_their_modules():
+    importers = {lib: set() for lib in ALLOWED}
+    for path in PACKAGE.rglob("*.py"):
+        roots = _imported_roots(path)
+        for lib in ALLOWED:
+            if lib in roots:
+                importers[lib].add(path.relative_to(PACKAGE).as_posix())
+    assert "precision.py" in importers["mpmath"]  # the walk sees imports
+    for lib, allowed in ALLOWED.items():
+        assert importers[lib] <= allowed, lib
+
+
+def test_precision_exports_no_interval_objects():
+    for name in (
+        "iv_prec",
+        "exact_mpf",
+        "mpf_to_fraction",
+        "fraction_to_iv",
+        "alpha0_iv",
+        "log3_iv",
+        "iv_endpoints",
+        "alpha0_mpf",
+        "ulp",
+    ):
+        assert not hasattr(ternpow.precision, name), name

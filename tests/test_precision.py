@@ -14,25 +14,22 @@ from ternpow.errors import PrecisionError
 from ternpow.precision import (
     DEFAULT_PRECISION_CAP,
     MIN_PRECISION,
-    alpha0_iv,
+    _endpoints,
+    _fraction_to_iv,
+    _power_bracket,
+    alpha0_bounds,
     certified_floor,
     certified_less_than,
     compare_power3_power2,
     escalate,
-    fraction_to_iv,
-    iv_endpoints,
-    iv_prec,
-    log3_iv,
-    _power_bracket,
+    log3_bounds,
     math_floor_log3,
-    mpf_to_fraction,
     power_le,
     precision_cap,
-    ulp,
 )
 from ternpow import census_bound_check, narkiewicz_check
 
-from conftest import certified_sign
+from conftest import certified_sign, iv_endpoints, iv_prec
 
 
 def test_escalate_runs_until_decidable():
@@ -68,56 +65,113 @@ def test_precision_cap_env_and_floor(monkeypatch):
 def test_fraction_to_iv_encloses_tightly(num, den):
     fr = Fraction(num, den)
     prec = 128
-    lo, hi = iv_endpoints(fraction_to_iv(fr, prec))
+    lo, hi = iv_endpoints(_fraction_to_iv(fr, prec))
     assert lo <= fr <= hi
     assert hi - lo <= Fraction(1, 2**prec)
 
 
-def test_mpf_to_fraction_is_exact():
+def test_endpoints_are_exact():
     with mp.workprec(80):
         x = mp.mpf(3) / 4
-    assert mpf_to_fraction(x) == Fraction(3, 4)
-    assert mpf_to_fraction(5) == Fraction(5)
-    with pytest.raises(ValueError):
-        mpf_to_fraction(mp.inf)
+    with iv_prec(80):
+        assert _endpoints(iv.mpf([-5, x])) == (Fraction(-5), Fraction(3, 4))
+        with pytest.raises(ValueError):
+            _endpoints(iv.mpf([0, mp.inf]))
+
+
+def _exact_mpf(man: int, shift: int):
+    with mp.workprec(max(abs(man).bit_length(), 8) + 4):
+        return mp.mpf(man) * mp.mpf(2) ** shift
+
+
+def _iv_alpha0(prec: int):
+    """The interval enclosure of log3(2) the bounds were read from before."""
+    with iv_prec(prec):
+        return iv.log(2) / iv.log(3)
+
+
+def _iv_log3(value, prec: int):
+    """The interval enclosure of log3(value) the bounds were read from
+    before, with the rational entering as outward-rounded dyadic endpoints."""
+    fr = Fraction(value)
+    scaled = fr.numerator << prec
+    lo_man = scaled // fr.denominator
+    hi_man = lo_man if lo_man * fr.denominator == scaled else lo_man + 1
+    with iv_prec(prec + 8):
+        x = iv.mpf([_exact_mpf(lo_man, -prec), _exact_mpf(hi_man, -prec)])
+    with iv_prec(prec):
+        return iv.log(x) / iv.log(3)
 
 
 def test_alpha0_and_log3_enclosures_bracket_truth():
-    lo, hi = iv_endpoints(alpha0_iv(128))
+    lo, hi = alpha0_bounds(128)
     # consecutive convergents of log3(2) straddle it: 41/65 < alpha0 < 53/84
     assert lo < hi
     assert Fraction(41, 65) < lo and hi < Fraction(53, 84)
     assert hi - lo < Fraction(1, 2**100)
-    lo2, hi2 = iv_endpoints(log3_iv(9, 128))
-    assert lo2 <= 2 <= hi2
+    # 3^20959 < 10^10000 < 3^20960, so 2.0959 < log3(10) < 2.0960
+    assert 3**20959 < 10**10000 < 3**20960
+    lo2, hi2 = log3_bounds(10, 128)
+    assert Fraction(20959, 10000) < lo2 < hi2 < Fraction(20960, 10000)
     assert hi2 - lo2 < Fraction(1, 2**100)
-    with pytest.raises(ValueError):
-        log3_iv(0, 128)
+    assert log3_bounds(9, 128) == (2, 2)
+    for bad in (0, -3, Fraction(-1, 9)):
+        with pytest.raises(ValueError):
+            log3_bounds(bad, 128)
+
+
+@pytest.mark.parametrize("prec", [128, 256, 1024])
+def test_bounds_equal_interval_endpoints(prec):
+    assert alpha0_bounds(prec) == iv_endpoints(_iv_alpha0(prec))
+    values = [2, 5, 10, 26, 28, 10**30 + 7, 2**300 + 1]
+    values += [Fraction(3, 2), Fraction(1, 2), Fraction(7, 9), Fraction(8, 3)]
+    values += [Fraction(10**20 + 1, 10**20), Fraction(2**257 - 1, 2**256)]
+    values += [Fraction(3**40 + 1, 3**40), Fraction(1, 3**5 + 1)]
+    for value in values:
+        assert log3_bounds(value, prec) == iv_endpoints(_iv_log3(value, prec)), value
+
+
+@pytest.mark.parametrize("prec", [128, 256, 1024])
+def test_log3_bounds_exact_at_powers_of_3(prec):
+    for e in (0, 1, 2, 5, 40, 400):
+        assert log3_bounds(3**e, prec) == (e, e)
+        assert log3_bounds(Fraction(1, 3**e), prec) == (-e, -e)
+    # the interval route already gives the point 0 at 1
+    assert iv_endpoints(_iv_log3(1, prec)) == (0, 0)
 
 
 def test_certified_sign_and_comparisons():
-    def make_pos(prec):
+    def iv_pos(prec):
         with iv_prec(prec):
             return 2 * iv.log(3) - 3 * iv.log(2)  # log(9/8) > 0
 
-    def make_neg(prec):
-        with iv_prec(prec):
-            return 3 * iv.log(2) - 2 * iv.log(3)
+    assert certified_sign(iv_pos) == 1
+    assert certified_sign(lambda prec: -iv_pos(prec)) == -1
 
-    assert certified_sign(make_pos) == 1
-    assert certified_sign(make_neg) == -1
+    def make_pos(prec):  # 2 - 3 * log3(2) = log3(9/8) > 0
+        lo, hi = alpha0_bounds(prec)
+        return 2 - 3 * hi, 2 - 3 * lo
+
+    def make_neg(prec):
+        lo, hi = make_pos(prec)
+        return -hi, -lo
+
     assert certified_less_than(make_neg, Fraction(0))
     assert not certified_less_than(make_pos, Fraction(0))
 
 
 def test_certified_floor_and_ceil():
-    def make(prec):
-        with iv_prec(prec):
-            return iv.mpf(19) * alpha0_iv(prec)  # 19 * log3(2) = 11.98766...
+    def make(prec):  # 19 * log3(2) = 11.98766...
+        lo, hi = alpha0_bounds(prec)
+        return 19 * lo, 19 * hi
+
+    def negated(prec):
+        lo, hi = make(prec)
+        return -hi, -lo
 
     assert certified_floor(make) == 11
     # the ceiling is minus the floor of the negated enclosure
-    assert -certified_floor(lambda prec: -make(prec)) == 12
+    assert -certified_floor(negated) == 12
 
 
 def test_compare_power3_power2_literal_regime():
@@ -198,14 +252,6 @@ def test_ternary_length_zero():
         math_floor_log3(0)
     with pytest.raises(ValueError):
         math_floor_log3(-3)
-
-
-def test_ulp_scales_with_magnitude():
-    with mp.workprec(64):
-        assert ulp(mp.mpf(1), 53) == mp.mpf(2) ** (1 - 53)
-        assert ulp(mp.mpf(1024), 53) == mp.mpf(2) ** (11 - 53)
-    with pytest.raises(ValueError):
-        ulp(mp.mpf(0), 53)
 
 
 def _literal_le(a, e, *factors):

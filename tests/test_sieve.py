@@ -291,6 +291,21 @@ def test_surrogate_is_upper_proxy_for_exact():
         assert count_tilde_N(lam_padic, X).count >= count_N(lam_exact, X)
 
 
+@pytest.mark.parametrize("residue", [0, 3**20, 3**5 * 7, 1])
+def test_surrogate_count_matches_brute_count(residue):
+    # a residue that vanishes mod 3^k keeps all k low digits of every
+    # residue * 2^n at zero, so each n is counted
+    lam = PadicApprox.from_int(residue, 24)
+    for X in (100, 1000):
+        tc = count_tilde_N(lam, X)
+        mod = 3**tc.k
+        brute = sum(
+            int_omits_digit(residue * pow(2, n, mod) % mod, 2) for n in range(1, X + 1)
+        )
+        assert tc.count == brute
+        assert tc.bound_ok == (tc.count**100000 <= 2**100000 * X**63093)
+
+
 def test_surrogate_requires_enough_digits():
     with pytest.raises(InsufficientDigits):
         count_tilde_N(PadicApprox.from_int(1, 4), 10_000)

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from ternpow import GapSpectrum, special_two_length, three_gap, three_gap_bruteforce
 from ternpow.errors import InsufficientDepth
-from ternpow.orbit.gaps import DEFAULT_GAP_PRECISION, BruteRotationGaps
+from ternpow.orbit.gaps import DEFAULT_GAP_PRECISION, BruteRotationGaps, ulp
 
 PREC = DEFAULT_GAP_PRECISION
 
@@ -106,3 +106,11 @@ def test_spectrum_validation(cf14):
                 (mp.mpf("0.4"), 1),
             ),
         )
+
+
+def test_ulp_scales_with_magnitude():
+    with mp.workprec(64):
+        assert ulp(mp.mpf(1), 53) == mp.mpf(2) ** (1 - 53)
+        assert ulp(mp.mpf(1024), 53) == mp.mpf(2) ** (11 - 53)
+    with pytest.raises(ValueError):
+        ulp(mp.mpf(0), 53)
