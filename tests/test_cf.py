@@ -183,9 +183,9 @@ def _lemma22_power_le(qn: int, qn1: int) -> bool:
     return power_le(qn, 10, (1200, 10), (qn1, 133))
 
 
-def test_growth_check_power_le_at_bit_length_corners():
-    # the two sides are closest where b is near 13.3 * c, so sweep the ends
-    # of each bit-length range across that band
+def test_growth_check_bit_length_shortcut_at_corners():
+    # power_le's bracket shortcut is tightest where b is near 13.3 * c, so
+    # sweep the ends of each bit-length range across that band
     for c in range(1, 41):
         for qn1 in (1 << (c - 1), (1 << c) - 1):
             for b in range(max(1, 13 * c - 20), 14 * c + 21):
@@ -194,8 +194,9 @@ def test_growth_check_power_le_at_bit_length_corners():
 
 
 @given(st.data())
-def test_growth_check_power_le_near_boundary(data):
-    # sample where b is near 13.3 * c, where the verdict can go either way
+def test_growth_check_bit_length_shortcut_near_boundary(data):
+    # power_le's literal fallback only runs when b is near 13.3 * c, so
+    # sample there
     c = data.draw(st.integers(min_value=1, max_value=40))
     b = data.draw(st.integers(min_value=max(1, 13 * c - 20), max_value=14 * c + 20))
     qn = data.draw(st.integers(min_value=1 << (b - 1), max_value=(1 << b) - 1))
