@@ -7,7 +7,7 @@ Four layers:
 - sieve: residue sieves and exact enumeration of exponents n for which
   floor(lam * 2^n) has a digit-2-free ternary expansion.
 - orbit: the continued fraction of log3(2), three-distance arc spectra,
-  leading-digit interval censuses, and the run-of-zeros construction that
+  leading-digit censuses, and the run-of-zeros construction that
   builds integers 2^m with long zero blocks.
 - cantor: carry automata recognizing digit prefixes admissible under
   simultaneous multiplication, exact prefix counts, spectral dimension
@@ -55,16 +55,12 @@ from .orbit import (
     ConstructionState,
     FindLk,
     GapSpectrum,
-    LeadingClassification,
-    LeadingInterval,
     LevelReport,
     census_bound_check,
     cf_log3_2,
     check_lemma22,
-    classify_leading,
     construct_theorem12,
     find_lk,
-    leading_interval,
     special_two_length,
     theorem11_census,
     three_gap,
@@ -132,11 +128,7 @@ __all__ = [
     "three_gap",
     "three_gap_bruteforce",
     "special_two_length",
-    "LeadingInterval",
-    "LeadingClassification",
     "CensusReport",
-    "leading_interval",
-    "classify_leading",
     "theorem11_census",
     "census_bound_check",
     "FindLk",

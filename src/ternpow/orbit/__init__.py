@@ -1,5 +1,5 @@
-"""Real-orbit side: continued fractions, three-distance spectra, leading
-ternary digit intervals, and the dyadic Cantor-set construction."""
+"""Real-orbit side: continued fractions, three-distance spectra, the leading
+ternary digit census, and the dyadic Cantor-set construction."""
 
 from .cf import CFExpansion, cf_log3_2, check_lemma22
 from .construction import (
@@ -17,11 +17,7 @@ from .gaps import (
 )
 from .leading import (
     CensusReport,
-    LeadingClassification,
-    LeadingInterval,
     census_bound_check,
-    classify_leading,
-    leading_interval,
     theorem11_census,
 )
 
@@ -33,11 +29,7 @@ __all__ = [
     "three_gap",
     "three_gap_bruteforce",
     "special_two_length",
-    "LeadingInterval",
-    "LeadingClassification",
     "CensusReport",
-    "leading_interval",
-    "classify_leading",
     "theorem11_census",
     "census_bound_check",
     "ConstructionState",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import ternpow.orbit
 import ternpow.precision
 
 PACKAGE = Path(ternpow.precision.__file__).parent
@@ -52,3 +53,9 @@ def test_precision_exports_no_interval_objects():
         "ulp",
     ):
         assert not hasattr(ternpow.precision, name), name
+
+
+def test_leading_exports_no_window_objects():
+    for name in ("LeadingInterval", "leading_interval", "LeadingClassification", "classify_leading"):
+        assert not hasattr(ternpow, name), name
+        assert not hasattr(ternpow.orbit, name), name

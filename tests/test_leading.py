@@ -1,147 +1,150 @@
-"""Leading-digit windows, dual-route classification, and the census."""
+"""The leading-digit census, against the loop that recomputed floor(log3 v)
+and 3^(digits - k) at every exponent."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ternpow import (
+    CensusReport,
     DyadicRational,
-    InsufficientDigits,
     census_bound_check,
-    classify_leading,
+    cf_log3_2,
+    int_omits_digit,
     int_to_digits,
-    leading_interval,
     theorem11_census,
 )
+from ternpow.precision import math_floor_log3
 
 
-def _all_digit_strings(k):
-    for lead in "12":
-        for rest in product("012", repeat=k - 1):
-            yield lead + "".join(rest)
+def _census_oracle(lam: DyadicRational, X: int) -> CensusReport:
+    """The census as first written: a fresh floor(log3 v) and power of 3 per
+    exponent, and the exact count read off every hit's full digits."""
+    cf = cf_log3_2(40)
+    l = 1
+    while not (cf.q(l - 1) < X <= cf.q(l)):
+        l += 1
+    q_lower = cf.q(l - 1)
+    k = max(1, math_floor_log3(q_lower) + (0 if 3 ** math_floor_log3(q_lower) == q_lower else 1))
+
+    A, s = lam.numerator, lam.exponent
+    census = 0
+    exact = 0
+    block_length = max(1, q_lower - 1)
+    block_counts: list[int] = []
+    current_block = 0
+    block_index = 0
+    for n in range(1, X + 1):
+        v = A << n >> s
+        if (n - 1) // block_length != block_index:
+            block_counts.append(current_block)
+            current_block = 0
+            block_index = (n - 1) // block_length
+        if v < 1:
+            continue
+        digits = math_floor_log3(v) + 1
+        top = v // 3 ** (digits - k) if digits > k else v
+        if int_omits_digit(top, 2):
+            census += 1
+            current_block += 1
+            if int_omits_digit(v, 2):
+                exact += 1
+    block_counts.append(current_block)
+
+    per_block_bound = 6 * 2 ** (k - 1)
+    per_block_max = max(block_counts)
+    return CensusReport(
+        X=X,
+        lam=str(lam),
+        l=l,
+        k=k,
+        q_lower=q_lower,
+        q_upper=cf.q(l),
+        census=census,
+        exact_count=exact,
+        bound_ok=census_bound_check(census, X),
+        prefixes=2 ** (k - 1),
+        block_length=block_length,
+        per_block_max=per_block_max,
+        per_block_bound=per_block_bound,
+        per_block_ok=per_block_max <= per_block_bound,
+    )
 
 
-def test_interval_basic_fields():
-    j = leading_interval("102")
-    assert j.k == 3
-    assert j.value == 11
-    assert j.beta == Fraction(11, 9)
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        leading_interval("012")
-    with pytest.raises(ValueError):
-        leading_interval("")
-    with pytest.raises(ValueError):
-        leading_interval("13")
-
-
-def test_windows_partition_unit_interval():
-    for k in (1, 2, 3):
-        strings = list(_all_digit_strings(k))
-        # consecutive windows share an endpoint; the chain spans [0, 1)
-        first = leading_interval(strings[0])
-        assert first.left_enclosure() == (Fraction(0), Fraction(0))
-        last = leading_interval(strings[-1])
-        assert last.right_enclosure() == (Fraction(1), Fraction(1))
-        for a, b in zip(strings, strings[1:]):
-            assert leading_interval(a).value + 1 == leading_interval(b).value
-
-
-def test_window_widths_certified():
-    for k in (1, 2, 3, 4):
-        for b in _all_digit_strings(k):
-            assert leading_interval(b).width_in_bounds()
-
-
-def test_window_width_enclosure_brackets_difference():
-    j = leading_interval("21")
-    wlo, whi = j.width_enclosure()
-    llo, lhi = j.left_enclosure()
-    rlo, rhi = j.right_enclosure()
-    assert wlo <= rlo - llo and rhi - lhi <= whi
-    assert wlo > 0
-
-
-@given(
-    st.integers(min_value=1, max_value=10**9),
-    st.integers(min_value=0, max_value=20),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=1, max_value=6),
-)
-def test_dual_routes_agree(num, s, n, k):
+def _assert_matches_oracle(num: int, s: int, X: int) -> CensusReport:
     lam = DyadicRational.from_pair(num, s)
-    try:
-        cls = classify_leading(lam, n, k)
-    except InsufficientDigits:
-        return
-    assert cls.agree
-    assert cls.c1 == cls.c2
-    assert len(cls.c1) == k
-    assert cls.c1[0] != "0"
+    rep = theorem11_census(lam, X)
+    assert rep == _census_oracle(lam, X)
+    return rep
+
+
+@pytest.mark.parametrize("X", [2, 3, 1000, 5000])
+def test_census_lambda_one_matches_oracle(X):
+    _assert_matches_oracle(1, 0, X)
+
+
+def test_census_seeded_odd_lambdas_match_oracle():
+    rng = random.Random(2005)
+    for _ in range(20):
+        _assert_matches_oracle(rng.randrange(1, 2000, 2), rng.randint(0, 5), 3000)
+
+
+def test_boundary_census_on_window_endpoints():
+    # 81/2^6 * 2^6 = 81 = 3^4 and 81/2^6 * 2^7 = 162 = 2 * 3^4 sit exactly on
+    # the left endpoints of the windows J("1") and J("2")
+    rep = _assert_matches_oracle(81, 6, 50)
+    assert rep.census > 0
+
+
+def test_census_power_of_three_lambda_matches_oracle():
+    _assert_matches_oracle(729, 0, 3000)
 
 
 def test_classification_reads_true_digits():
-    # 3/4 * 2^10 = 768 = 1001110 in base 3
-    cls = classify_leading(DyadicRational.from_pair(3, 2), 10, 4)
-    assert cls.c1 == "1001"
-    assert not cls.boundary
-
-
-def test_boundary_flag_on_exact_powers():
-    # 81/64 * 2^6 = 81: the orbit point sits exactly on a window endpoint
-    cls = classify_leading(DyadicRational.from_pair(81, 6), 6, 1)
-    assert cls.boundary
-    assert cls.agree and cls.c1 == "1"
-    # n=7 doubles onto the left endpoint of J("2") (162 = 2 * 3^4), n=8 not
-    assert classify_leading(DyadicRational.from_pair(81, 6), 7, 1).boundary
-    off = classify_leading(DyadicRational.from_pair(81, 6), 8, 1)
-    assert not off.boundary
-
-
-def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify_leading(DyadicRational.from_pair(1, 0), 5, 0)
-    with pytest.raises(ValueError):
-        classify_leading(DyadicRational.from_pair(1, 0), -1, 1)
-    with pytest.raises(InsufficientDigits):
-        classify_leading(DyadicRational.from_pair(1, 0), 1, 5)
+    # X = 2 gives k = 1, and the first value 1999/2^5 * 2 = 124 (11211 in
+    # base 3) already has five digits: the carried scale must reach 3^4 to
+    # read its true top digit 1, not the 2 of 124 // 3 = 41 (1112)
+    rep = _assert_matches_oracle(1999, 5, 2)
+    assert rep.k == 1
+    assert rep.census == 2
 
 
 def test_classify_below_one_has_no_digits():
-    # 5/2^6 * 2^5 = 5/2 has one digit; at n = 4 the value 5/4 still has
-    # one; at n = 3, 5/8 < 1 and its integer floor has none
-    lam = DyadicRational.from_pair(5, 6)
-    assert classify_leading(lam, 5, 1).c1 == "2"
-    assert classify_leading(lam, 4, 1).c1 == "1"
-    for n in (0, 1, 2, 3):
-        with pytest.raises(InsufficientDigits):
-            classify_leading(lam, n, 1)
+    # 1/2^40 * 2^n < 1 for every n <= 10: no exponent has a digit to judge
+    rep = _assert_matches_oracle(1, 40, 10)
+    assert rep.census == rep.exact_count == rep.per_block_max == 0
 
 
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=0, max_value=30),
-    st.integers(min_value=0, max_value=60),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=300),
 )
-def test_classify_matches_integer_floor_digits(num, s, n, k):
+def test_dual_routes_agree(num, s, X):
+    # the carried scale against a fresh floor(log3 v) and power of 3
+    _assert_matches_oracle(num, s, X)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=2, max_value=300),
+)
+def test_classify_matches_integer_floor_digits(num, s, X):
     lam = DyadicRational.from_pair(num, s)
-    v = lam.value * 2**n
-    full = "".join(str(d) for d in reversed(int_to_digits(v.__floor__())))
-    if len(full) < k:
-        with pytest.raises(InsufficientDigits):
-            classify_leading(lam, n, k)
-        return
-    cls = classify_leading(lam, n, k)
-    assert cls.c1 == cls.c2 == full[:k]
-    assert cls.boundary == ((v / 3 ** (len(full) - k)).denominator == 1)
+    rep = theorem11_census(lam, X)
+    census = exact = 0
+    for n in range(1, X + 1):
+        v = (num << n) >> s
+        full = "".join(str(d) for d in reversed(int_to_digits(v)))
+        if v >= 1 and "2" not in full[: rep.k]:
+            census += 1
+            exact += "2" not in full
+    assert (rep.census, rep.exact_count) == (census, exact)
 
 
 def test_census_frozen_run():
@@ -155,6 +158,17 @@ def test_census_frozen_run():
     assert rep.block_length == 484
     assert rep.per_block_ok
     assert rep.per_block_max <= rep.per_block_bound == 6 * 2**5
+
+
+def test_census_benchmark_size_pinned():
+    # the lambda = 1 census of the digits benchmark, at its central X
+    rep = theorem11_census(DyadicRational.from_pair(1, 0), 20000)
+    assert (rep.l, rep.k) == (10, 7)
+    assert (rep.q_lower, rep.q_upper) == (1054, 24727)
+    assert rep.census == 1285
+    assert rep.exact_count == 2
+    assert rep.block_length == 1053
+    assert rep.per_block_max == 73
 
 
 def test_census_against_direct_count():
