@@ -17,6 +17,12 @@ B = A + I and any positive integer vector x, the min and max of
 floating point.  x comes from integer power iteration started at the
 all-ones vector, which is already an eigenvector of the one-state {1}
 machine, so that certificate is the exact point rho = 2.
+
+Each power step is one pass over index triples (i, a, b): a component row
+has one or two targets, so it is padded to two with a slot that always
+holds 0, and (Bx)_i = x_i + x_a + x_b.  A reading finds the smallest and
+largest (Bx)_i / x_i by integer cross-multiplication and builds only those
+two Fractions.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ def strongly_connected_components(
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
+    succ = [[t for t in pair if t is not None] for pair in transitions]
 
     for root in range(n):
         if index[root] != -1:
@@ -68,7 +75,7 @@ def strongly_connected_components(
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            edges = [t for t in transitions[v] if t is not None]
+            edges = succ[v]
             while ei < len(edges):
                 w = edges[ei]
                 ei += 1
@@ -122,23 +129,38 @@ def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
     vector from all ones, renormalizing by shifts to keep entries bounded;
     the min and max of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for
     any positive x.  One run serves every reading.
+
+    x carries a trailing 0 at index n, and every row is padded to two
+    targets with that index, so a step is x_i + x_a + x_b per triple.
+    Every entry stays positive (the shift floors at 1), so max(y) has the
+    largest bit length.  A reading compares y_i * x_j with y_j * x_i to
+    find the extreme ratios and turns only those two into Fractions.
     """
     n = len(rows)
-    x = [1] * n
+    triples = [(i, *(row + [n, n])[:2]) for i, row in enumerate(rows)]
+    x = [1] * n + [0]
     steps, reading = 0, FIRST_READING
     while True:
-        y = [x[i] + sum(x[j] for j in rows[i]) for i in range(n)]
+        y = [x[i] + x[a] + x[b] for i, a, b in triples]
         if steps == reading:
-            ratios = [Fraction(y[i], x[i]) for i in range(n)]
-            lo, hi = min(ratios) - 1, max(ratios) - 1
+            i_lo = i_hi = 0
+            for i in range(1, n):
+                yi, xi = y[i], x[i]
+                if yi * x[i_lo] < y[i_lo] * xi:
+                    i_lo = i
+                elif yi * x[i_hi] > y[i_hi] * xi:
+                    i_hi = i
+            lo = Fraction(y[i_lo], x[i_lo]) - 1
+            hi = Fraction(y[i_hi], x[i_hi]) - 1
             converged = hi - lo <= TARGET_WIDTH
             if converged or reading >= MAX_ITERATIONS:
                 return lo, hi, converged
             reading *= 2
         # renormalize to keep the integers from exploding
-        shift = max(v.bit_length() for v in y) - 64
+        shift = max(y).bit_length() - 64
         if shift > 0:
-            y = [max(1, v >> shift) for v in y]
+            y = [v >> shift or 1 for v in y]
+        y.append(0)
         x = y
         steps += 1
 

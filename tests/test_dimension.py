@@ -17,6 +17,7 @@ from ternpow import (
     trim,
 )
 from ternpow.cantor.dimension import (
+    FIRST_READING,
     MAX_ITERATIONS,
     TARGET_WIDTH,
     _cw_bounds,
@@ -264,3 +265,190 @@ def test_growth_components_match_structural_predicate():
         t = trim(build_automaton([1, m]))
         old = any(_has_cycle(r) and not _is_bare_cycle(r) for r in _old_rows(t))
         assert bool(growth_components(t)) == old, m
+
+
+# --- the row-sum certificate and the per-resume Tarjan, kept as oracles ---
+
+
+def _rowsum_cw_bounds(rows):
+    """The certificate loop summing each sparse row per step."""
+    n = len(rows)
+    x = [1] * n
+    steps, reading = 0, FIRST_READING
+    while True:
+        y = [x[i] + sum(x[j] for j in rows[i]) for i in range(n)]
+        if steps == reading:
+            ratios = [Fraction(y[i], x[i]) for i in range(n)]
+            lo, hi = min(ratios) - 1, max(ratios) - 1
+            converged = hi - lo <= TARGET_WIDTH
+            if converged or reading >= MAX_ITERATIONS:
+                return lo, hi, converged
+            reading *= 2
+        shift = max(v.bit_length() for v in y) - 64
+        if shift > 0:
+            y = [max(1, v >> shift) for v in y]
+        x = y
+        steps += 1
+
+
+def _parent_scc(transitions):
+    """Tarjan rebuilding each vertex's successor list on every resume."""
+    n = len(transitions)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            edges = [t for t in transitions[v] if t is not None]
+            while ei < len(edges):
+                w = edges[ei]
+                ei += 1
+                if index[w] == -1:
+                    work[-1] = (v, ei)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def _assert_matches_oracles(mults):
+    built = build_automaton(mults)
+    trimmed = trim(built)
+    for t in (built.transitions, trimmed.transitions):
+        assert strongly_connected_components(t) == _parent_scc(t), mults
+    growth = growth_components(trimmed)
+    for rows in growth:
+        assert _cw_bounds(rows) == _rowsum_cw_bounds(rows), mults
+    return growth
+
+
+def test_flat_step_matches_rowsum_loop_on_criterion_7_sweep():
+    for m in range(1, 1001):
+        if m % 3:
+            _assert_matches_oracles([1, m])
+
+
+def test_flat_step_matches_rowsum_loop_on_seeded_multipliers():
+    rng = random.Random(9)
+    sampled = 0
+    while sampled < 30:
+        m = rng.randrange(2, 10**4 + 1)
+        if m % 3:
+            _assert_matches_oracles([1, m])
+            sampled += 1
+
+
+def test_flat_step_matches_rowsum_loop_on_special_sets():
+    assert len(_assert_matches_oracles([1, 4, 256])) == 1
+    assert _assert_matches_oracles([1, 7, 49]) == []
+    # the one-state machine: a doubled self-loop, no padding slot used
+    assert _assert_matches_oracles([1]) == [[[0, 0]]]
+
+
+def test_flat_step_matches_rowsum_loop_without_convergence():
+    # a 100-cycle with one chord: the entries spread over more than 64 bits,
+    # so renormalizing floors small entries at 1 (12553 times), and the
+    # certificate is still wider than TARGET_WIDTH after MAX_ITERATIONS steps
+    rows = [[0, 1], [0, 2]] + [[i + 1] for i in range(2, 99)] + [[0]]
+    lo, hi, converged = _cw_bounds(rows)
+    assert not converged and hi - lo > TARGET_WIDTH
+    assert (lo, hi, converged) == _rowsum_cw_bounds(rows)
+
+
+def _fibonacci_counts(depth):
+    counts = [2, 3]
+    while len(counts) < depth:
+        counts.append(counts[-1] + counts[-2])
+    return tuple(counts)
+
+
+# {1, 7} and {1, 4} are both the golden-mean shift
+_GOLDEN_MEAN = (
+    Fraction(5296570149519595480, 3273460376201222547),
+    Fraction(3273460376201222547, 2023109773318372933),
+    True,
+    _fibonacci_counts(60),
+)
+
+# the certificate's exact bytes: a change to the power iteration (its start
+# vector, its step, its readings) must update these on purpose
+GOLDEN = {
+    (1, 2): (Fraction(1), Fraction(1), True, (1,) * 60),
+    (1, 7): _GOLDEN_MEAN,
+    (1, 4): _GOLDEN_MEAN,
+    (1, 52): (
+        Fraction(9612338768113262192, 7874163708290732995),
+        Fraction(7874163708290732995, 6450298475813380949),
+        True,
+        (
+            2, 3, 4, 5, 6, 7, 9, 11, 13, 16, 20, 24, 29, 36, 44, 53, 65, 80, 97, 118,
+            145, 177, 215, 263, 322, 392, 478, 585, 714, 870, 1063, 1299, 1584, 1933,
+            2362, 2883, 3517, 4295, 5245, 6400, 7812, 9540, 11645, 14212, 17352,
+            21185, 25857, 31564, 38537, 47042, 57421, 70101, 85579, 104463, 127522,
+            155680, 190042, 231985, 283202, 345722,
+        ),
+    ),
+    (1, 4, 256): (
+        Fraction(7117006735375872093, 5537668914524713184),
+        Fraction(4308802583318387578, 3352634472837643059),
+        True,
+        (
+            2, 3, 4, 6, 9, 11, 13, 16, 20, 26, 35, 46, 59, 75, 95, 121, 156, 202,
+            261, 336, 431, 552, 708, 910, 1171, 1507, 1938, 2490, 3198, 4108, 5279,
+            6786, 8724, 11214, 14412, 18520, 23799, 30585, 39309, 50523, 64935,
+            83455, 107254, 137839, 177148, 227671, 292606, 376061, 483315, 621154,
+            798302, 1025973, 1318579, 1694640, 2177955, 2799109, 3597411, 4623384,
+            5941963, 7636603,
+        ),
+    ),
+    (1, 9997): (
+        Fraction(120711601442651536, 90401876573439181),
+        Fraction(2014448285672026493, 1508636312566956085),
+        True,
+        (
+            2, 3, 5, 7, 9, 13, 17, 23, 33, 46, 63, 86, 118, 160, 217, 284, 375, 489,
+            628, 813, 1053, 1378, 1799, 2361, 3097, 4058, 5340, 7025, 9267, 12227,
+            16166, 21389, 28286, 37450, 49594, 65773, 87265, 115864, 153910,
+            204509, 271935, 361605, 481141, 640377, 852634, 1135582, 1512569,
+            2015323, 2685317, 3578952, 4770610, 6359819, 8479897, 11307576,
+            15080583, 20114004, 26830389, 35793222, 47753148, 63715130,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("mults", sorted(GOLDEN))
+def test_certificate_bytes_are_pinned(mults):
+    est = hausdorff_dimension(list(mults))
+    got = (est.rho_lo, est.rho_hi, est.converged, est.prefix_counts)
+    assert got == GOLDEN[mults]

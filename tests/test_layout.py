@@ -11,10 +11,12 @@ import ternpow.precision
 PACKAGE = Path(ternpow.precision.__file__).parent
 
 # certified enclosures come from precision.py; gaps.py keeps its float sweep
-# and cli.py its mpf serializer until the three-gap spectrum is exact
+# and cli.py its mpf serializer until the three-gap spectrum is exact.
+# numpy is not a declared dependency, so no module may import it.
 ALLOWED = {
     "mpmath": {"precision.py", "orbit/gaps.py", "cli.py"},
     "sympy": {"cantor/dimension.py", "acceptance.py"},
+    "numpy": set(),
 }
 
 
@@ -36,6 +38,7 @@ def test_numeric_libraries_stay_behind_their_modules():
             if lib in roots:
                 importers[lib].add(path.relative_to(PACKAGE).as_posix())
     assert "precision.py" in importers["mpmath"]  # the walk sees imports
+    assert "cantor/dimension.py" in importers["sympy"]  # and imports in functions
     for lib, allowed in ALLOWED.items():
         assert importers[lib] <= allowed, lib
 
