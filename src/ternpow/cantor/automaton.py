@@ -133,18 +133,6 @@ class CarryAutomaton:
         return "\n".join(lines)
 
 
-def _step_carries(
-    ms: tuple[int, ...], carries: tuple[int, ...], digit: int
-) -> tuple[int, ...] | None:
-    out = []
-    for m, c in zip(ms, carries):
-        t = m * digit + c
-        if t % 3 == 2:
-            return None
-        out.append(t // 3)
-    return tuple(out)
-
-
 def build_automaton(
     ms, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> CarryAutomaton:
@@ -152,37 +140,42 @@ def build_automaton(
 
     Carries stay below their multiplier ((M*1 + M-1) // 3 < M), so the state
     space is finite; discovery past state_limit raises SizeGuardError.
+    States are numbered in breadth-first order of discovery, digit 0 before
+    digit 1.  The implicit multiplier 1 emits the input digit itself and
+    always keeps carry 0, so only the other carries are stepped.
     """
     if not isinstance(ms, MultiplierSet):
         ms = MultiplierSet.of(ms)
     ms = ms.normalized()
     mults = ms.multipliers
 
-    start = tuple(0 for _ in mults)
+    start = (0,) * len(mults)
     index = {start: 0}
     states = [start]
     transitions: list[tuple[int | None, int | None]] = []
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for carries in frontier:
-            pair: list[int | None] = [None, None]
-            for d in (0, 1):
-                nxt = _step_carries(mults, carries, d)
-                if nxt is None:
-                    continue
-                if nxt not in index:
+    # states grows while it is read, so the loop is a first-in first-out queue
+    for carries in states:
+        pair: list[int | None] = [None, None]
+        for d in (0, 1):
+            out = [0]
+            for k in range(1, len(carries)):
+                t = carries[k] + mults[k] * d
+                if t % 3 == 2:
+                    break
+                out.append(t // 3)
+            else:
+                nxt = tuple(out)
+                i = index.get(nxt)
+                if i is None:
                     if len(states) >= state_limit:
                         raise SizeGuardError(
                             f"carry machine for {{{ms}}} exceeds "
                             f"{state_limit} states"
                         )
-                    index[nxt] = len(states)
+                    i = index[nxt] = len(states)
                     states.append(nxt)
-                    next_frontier.append(nxt)
-                pair[d] = index[nxt]
-            transitions.append((pair[0], pair[1]))
-        frontier = next_frontier
+                pair[d] = i
+        transitions.append((pair[0], pair[1]))
     return CarryAutomaton(
         multipliers=mults,
         states=tuple(states),

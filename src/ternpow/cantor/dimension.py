@@ -53,71 +53,107 @@ _CHARPOLY_STATE_LIMIT = 64
 def strongly_connected_components(
     transitions: tuple[tuple[int | None, int | None], ...]
 ) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to dodge recursion limits."""
+    """Tarjan's algorithm, iterative to dodge recursion limits.
+
+    The work stack holds vertices; edge[v] is the next slot of v's
+    transition pair to follow.  A vertex whose component is complete gets
+    index n, which no low-link reaches, so the min updates need no on-stack
+    flags.  Components come out in Tarjan's order, each listed from the top
+    of the vertex stack down to its root.
+    """
     n = len(transitions)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    edge = [0] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    succ = [[t for t in pair if t is not None] for pair in transitions]
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [root]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            edges = succ[v]
-            while ei < len(edges):
-                w = edges[ei]
-                ei += 1
+            v = work[-1]
+            pair = transitions[v]
+            e = edge[v]
+            while e < 2:
+                w = pair[e]
+                e += 1
+                if w is None:
+                    continue
                 if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+                    edge[v] = e
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    comp.reverse()
+                    for w in comp:
+                        index[w] = n
+                    comps.append(comp)
+                elif work:
+                    u = work[-1]
+                    if lv < low[u]:
+                        low[u] = lv
     return comps
 
 
-def growth_components(trimmed: CarryAutomaton) -> list[list[list[int]]]:
-    """Sparse rows of every strongly connected component with radius > 1.
+def _growth_ids(transitions, comps: list[list[int]]) -> set[int]:
+    """Positions in comps of the components with radius > 1: those in which
+    some state keeps both out-edges inside, read from per-state ids."""
+    comp_of = [0] * len(transitions)
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    return {
+        comp_of[v]
+        for v, (a, b) in enumerate(transitions)
+        if a is not None and b is not None and comp_of[a] == comp_of[b] == comp_of[v]
+    }
 
-    Those are the components in which some state keeps both out-edges
-    inside.  A row lists the local indices of a state's targets inside its
+
+def has_growth(a: CarryAutomaton) -> bool:
+    """Whether the trimmed machine has a growth component, read from a.
+
+    a need not be trimmed: every state on a cycle has an infinite
+    continuation, so trimming removes no state or edge of a component that
+    contains a cycle, and a state keeping both out-edges in its own
+    component lies on a cycle.  The test is the same before and after.
+    """
+    return bool(_growth_ids(a.transitions, strongly_connected_components(a.transitions)))
+
+
+def growth_components(trimmed: CarryAutomaton) -> list[list[list[int]]]:
+    """Sparse rows of every strongly connected component with radius > 1,
+    picked by the same test as has_growth.
+
+    A row lists the local indices of a state's targets inside its
     component (repeated for a doubled edge), so all the spectral work stays
     linear in the state count.
     """
+    comps = strongly_connected_components(trimmed.transitions)
     growth = []
-    for comp in strongly_connected_components(trimmed.transitions):
-        pos = {v: i for i, v in enumerate(comp)}
-        rows = [[pos[t] for t in trimmed.transitions[v] if t in pos] for v in comp]
-        if any(len(row) == 2 for row in rows):
-            growth.append(rows)
+    for k in sorted(_growth_ids(trimmed.transitions, comps)):
+        pos = {v: i for i, v in enumerate(comps[k])}
+        growth.append(
+            [[pos[t] for t in trimmed.transitions[v] if t in pos] for v in comps[k]]
+        )
     return growth
 
 

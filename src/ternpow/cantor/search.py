@@ -6,6 +6,13 @@ of the carry machine ending in digit 1 whose final carry tuple consists of
 digit-2-free integers (the carries are exactly the unwritten high digits of
 the products).  The bounded ascending search is kept alongside as an
 independent oracle and as the contract-level entry point.
+
+The class scan costs each 3-free M one machine build, one Tarjan pass and
+one witness search.  Positive dimension is read from the untrimmed machine:
+trimming only removes states off every cycle, so it leaves each component
+that contains a cycle, and each of its inner edges, as it was, and a state
+keeping both out-edges in its own component is on a cycle.  The growth test
+therefore gives the same answer before and after trimming.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from ..precision import math_floor_log3
 from ..ternary import int_omits_digit, int_to_digits
@@ -21,9 +29,8 @@ from .automaton import (
     CarryAutomaton,
     MultiplierSet,
     build_automaton,
-    trim,
 )
-from .dimension import growth_components
+from .dimension import has_growth
 
 LOG3_2 = math.log(2) / math.log(3)
 DEFAULT_SCAN_LIMIT = 3000
@@ -69,18 +76,6 @@ def _is_flush_state(carries: tuple[int, ...]) -> bool:
     return all(int_omits_digit(c, 2) for c in carries)
 
 
-def _flush_targets(a: CarryAutomaton) -> set[int]:
-    return {i for i, c in enumerate(a.states) if _is_flush_state(c)}
-
-
-def _preimage(a: CarryAutomaton, digit: int, targets: set[int]) -> set[int]:
-    return {
-        u
-        for u in range(a.num_states)
-        if a.transitions[u][digit] in targets
-    }
-
-
 def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResult:
     """Exact decision plus the minimal witness when one exists.
 
@@ -88,29 +83,33 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
     within length L the digits are chosen greedily from the most significant
     end (each 0 saves more than all lower positions combined), with
     feasibility checked against the exact forward-reachable layer sets.
+    Flushness is tested lazily, once per state, and only on the targets of
+    1-edges out of states the search reaches.
     """
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
-    flush = _flush_targets(a)
+    trans, states = a.transitions, a.states
+    flush: dict[int, bool] = {}
 
-    # layered BFS; layers[j] = states reachable in exactly j steps
-    layers = [{0}]
+    def is_flush(t: int | None) -> bool:
+        if t is None:
+            return False
+        ok = flush.get(t)
+        if ok is None:
+            ok = flush[t] = _is_flush_state(states[t])
+        return ok
+
+    # layered BFS over first arrivals: the least L such that a state reached
+    # in L - 1 steps moves to a flush state on the leading digit 1
+    current = [0]
     seen = {0}
-    best_len: int | None = None
-    while True:
-        current = layers[-1]
-        j = len(layers) - 1
-        if any(
-            a.transitions[u][1] is not None and a.transitions[u][1] in flush
-            for u in current
-        ):
-            best_len = j + 1
-            break
-        nxt = set()
+    best_len = 1
+    while not any(is_flush(trans[u][1]) for u in current):
+        nxt = []
         for u in current:
-            for t in a.transitions[u]:
+            for t in trans[u]:
                 if t is not None and t not in seen:
                     seen.add(t)
-                    nxt.add(t)
+                    nxt.append(t)
         if not nxt:
             return WitnessResult(
                 multipliers=a.multipliers,
@@ -120,37 +119,33 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
                 bound_denominator=None,
                 exhausted=True,
             )
-        layers.append(nxt)
+        current = nxt
+        best_len += 1
 
-    # forward layers use cumulative reachability: position j of the witness
-    # may sit at any state reachable in exactly j steps
+    # exact[j]: the states reachable in exactly j steps, where position j of
+    # the witness may sit
     exact = [{0}]
     for _ in range(best_len - 1):
-        prev = exact[-1]
-        step = set()
-        for u in prev:
-            for t in a.transitions[u]:
-                if t is not None:
-                    step.add(t)
-        exact.append(step)
+        exact.append({t for u in exact[-1] for t in trans[u] if t is not None})
 
+    # allowed: the states of exact[j] from which the digits already fixed
+    # above position j lead to flush; every u in exact[j] steps into
+    # exact[j + 1], so restricting to the layer loses no witness
     digits = [0] * best_len
     digits[best_len - 1] = 1
-    allowed = _preimage(a, 1, flush)  # states that may host the leading 1
+    allowed = {u for u in exact[best_len - 1] if is_flush(trans[u][1])}
     for j in range(best_len - 2, -1, -1):
-        zero_side = _preimage(a, 0, allowed)
-        if exact[j] & zero_side:
-            digits[j] = 0
+        zero_side = {u for u in exact[j] if trans[u][0] in allowed}
+        if zero_side:
             allowed = zero_side
         else:
             digits[j] = 1
-            allowed = _preimage(a, 1, allowed)
-            if not (exact[j] & allowed):
+            allowed = {u for u in exact[j] if trans[u][1] in allowed}
+            if not allowed:
                 raise AssertionError("witness reconstruction lost feasibility")
 
     n = sum(d * 3**j for j, d in enumerate(digits))
-    end = a.walk(digits)
-    if end is None or end not in flush:
+    if not is_flush(a.walk(digits)):
         raise AssertionError("reconstructed witness rejected by the machine")
     for m in a.multipliers:
         if not int_omits_digit(n * m, 2):
@@ -389,8 +384,11 @@ class ScanResult:
     in_mc: some positive integer N has N and M*N both digit-2-free (exact
     reachability decision).  in_mh: the admissible set of {1, M} has
     positive dimension, i.e. its trimmed machine has a growth component (an
-    exact structural test for spectral radius > 1).  The strict
-    witnesses are the M in the second class but not the first.
+    exact structural test for spectral radius > 1).  The test runs on the
+    untrimmed machine: some state keeps both out-edges in its own strongly
+    connected component.  Such a state lies on a cycle, and trimming never
+    touches a component with a cycle, so the answer equals the trimmed one.
+    The strict witnesses are the M in the second class but not the first.
     """
 
     x: int
@@ -400,18 +398,26 @@ class ScanResult:
     strict: tuple[int, ...]
 
 
-def _classify_normalized(m: int) -> tuple[bool, bool, int | None]:
+def _classify_normalized(
+    m: int, state_limit: int = DEFAULT_STATE_LIMIT
+) -> tuple[bool, bool, int | None]:
     """(in_mc, in_mh, smallest witness) for a 3-coprime multiplier."""
-    a = build_automaton(MultiplierSet.of([1, m]))
-    in_mh = bool(growth_components(trim(a)))
+    a = build_automaton(MultiplierSet.of([1, m]), state_limit)
     wit = smallest_witness(a)
-    return wit.found, in_mh, wit.n
+    return wit.found, has_growth(a), wit.n
 
 
 def scan_problems(
-    x: int, limit: int = DEFAULT_SCAN_LIMIT, workers: int = 1
+    x: int,
+    limit: int = DEFAULT_SCAN_LIMIT,
+    workers: int = 1,
+    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> ScanResult:
-    """Classify all M = 1..x; powers of 3 inside M never change the class."""
+    """Classify all M = 1..x; powers of 3 inside M never change the class.
+
+    Every machine is built under state_limit, past which SizeGuardError is
+    raised.
+    """
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > limit:
@@ -428,9 +434,10 @@ def scan_problems(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(normals, pool.map(_classify_normalized, normals)))
+            classify = partial(_classify_normalized, state_limit=state_limit)
+            results = dict(zip(normals, pool.map(classify, normals)))
     else:
-        results = {m: _classify_normalized(m) for m in normals}
+        results = {m: _classify_normalized(m, state_limit) for m in normals}
 
     rows = []
     for m in range(1, x + 1):

@@ -37,6 +37,7 @@ from .cantor import (
     theorem17_search,
     trim,
 )
+from .cantor.search import DEFAULT_SCAN_LIMIT
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
 from .orbit.gaps import DEFAULT_GAP_PRECISION, three_gap_bruteforce
@@ -101,8 +102,9 @@ def _emit_report(command: str, config: RunConfig, results, notes: list[str]) -> 
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer option that must be >= low."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """argparse type for an integer option that must be >= low (and
+    <= at_most when given)."""
 
     def parse(text: str) -> int:
         try:
@@ -113,6 +115,8 @@ def _int_at_least(low: int):
             ) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be <= {at_most}, got {value}")
         return value
 
     return parse
@@ -286,7 +290,14 @@ def _build_parser() -> _Parser:
         description="CSV schema: one row per M with columns "
         "M,normalized_M,in_MC,in_MH,witness.",
     )
-    p.add_argument("--max-M", dest="max_m", type=_int_at_least(1), required=True, metavar="X")
+    p.add_argument(
+        "--max-M",
+        dest="max_m",
+        type=_int_at_least(1, at_most=DEFAULT_SCAN_LIMIT),
+        required=True,
+        metavar="X",
+        help=f"largest multiplier, at most {DEFAULT_SCAN_LIMIT}",
+    )
     p.add_argument("--out", choices=("json", "csv"), default="json")
 
     p = sub.add_parser(
@@ -471,7 +482,9 @@ def _cmd_dimension(args, config: RunConfig) -> str:
 
 
 def _cmd_scan(args, config: RunConfig) -> str:
-    result = scan_problems(args.max_m, workers=config.threads)
+    result = scan_problems(
+        args.max_m, workers=config.threads, state_limit=config.state_limit
+    )
     if args.out == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,79 @@ def test_known_machine_sizes():
 def test_state_limit_guard():
     with pytest.raises(SizeGuardError):
         build_automaton([1, 7], state_limit=2)
+
+
+def _parent_build_automaton(ms, state_limit):
+    """The breadth-first builder that steps every carry, the multiplier 1's
+    included, through a helper call per digit."""
+
+    def step(mults, carries, digit):
+        out = []
+        for m, c in zip(mults, carries):
+            t = m * digit + c
+            if t % 3 == 2:
+                return None
+            out.append(t // 3)
+        return tuple(out)
+
+    ms = MultiplierSet.of(ms).normalized()
+    mults = ms.multipliers
+    start = tuple(0 for _ in mults)
+    index = {start: 0}
+    states = [start]
+    transitions = []
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for carries in frontier:
+            pair = [None, None]
+            for d in (0, 1):
+                nxt = step(mults, carries, d)
+                if nxt is None:
+                    continue
+                if nxt not in index:
+                    if len(states) >= state_limit:
+                        raise SizeGuardError(f"exceeds {state_limit} states")
+                    index[nxt] = len(states)
+                    states.append(nxt)
+                    next_frontier.append(nxt)
+                pair[d] = index[nxt]
+            transitions.append((pair[0], pair[1]))
+        frontier = next_frontier
+    return CarryAutomaton(
+        multipliers=mults,
+        states=tuple(states),
+        transitions=tuple(transitions),
+        trimmed=False,
+    )
+
+
+def _oracle_sets():
+    # multipliers = 1 (mod 3) keep digit 1 alive, so the machines grow
+    rng = random.Random(10)
+    triples = [[3 * rng.randrange(1, 700) + 1 for _ in range(3)] for _ in range(30)]
+    return (
+        [[1, m] for m in range(1, 3001)]
+        + [[1, 4, 256], [1, 7, 49], [2, 5, 7], [1, 9997]]
+        + triples
+    )
+
+
+def test_builder_matches_parent_builder():
+    for mults in _oracle_sets():
+        # equal fields give equal export-automaton bytes
+        assert build_automaton(mults) == _parent_build_automaton(mults, 10**6), mults
+
+
+def test_state_limit_guard_trips_at_the_parent_count():
+    for mults in ([1, 7], [1, 4, 256], [1, 9997], [1, 493, 511]):
+        n = build_automaton(mults).num_states
+        assert build_automaton(mults, state_limit=n).num_states == n
+        for limit in (1, n // 2, n - 1):
+            with pytest.raises(SizeGuardError):
+                build_automaton(mults, state_limit=limit)
+            with pytest.raises(SizeGuardError):
+                _parent_build_automaton(mults, limit)
 
 
 def test_carries_stay_below_multiplier():

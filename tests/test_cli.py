@@ -202,6 +202,11 @@ def test_computation_errors_exit_two(capsys):
     # the 256-bit cap certifies the continued fraction only to depth 78
     assert main(["--precision-cap", "256", "cf", "--depth", "79"]) == 2
     assert "ternpow: PrecisionError" in capsys.readouterr().err
+    # the {1, 7} machine of the scan needs 4 states
+    for threads in ("1", "2"):
+        argv = ["--threads", threads, "--state-limit", "3", "scan", "--max-M", "10"]
+        assert main(argv) == 2
+        assert "ternpow: SizeGuardError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -224,6 +229,7 @@ def test_computation_errors_exit_two(capsys):
         ["export-automaton", "--multipliers", "1,-2"],
         ["search-n", "--multipliers", "7", "--max-N", "0"],
         ["scan", "--max-M", "0"],
+        ["scan", "--max-M", "3001"],
         ["--threads", "0", "cf", "--depth", "3"],
         ["--state-limit", "0", "cf", "--depth", "3"],
         ["--precision-cap", "64", "cf", "--depth", "3"],

@@ -62,3 +62,15 @@ def test_leading_exports_no_window_objects():
     for name in ("LeadingInterval", "leading_interval", "LeadingClassification", "classify_leading"):
         assert not hasattr(ternpow, name), name
         assert not hasattr(ternpow.orbit, name), name
+
+
+def test_scan_reads_growth_from_the_built_machine():
+    tree = ast.parse((PACKAGE / "cantor" / "search.py").read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "has_growth" in names  # the walk sees the search module's imports
+    assert not names & {"trim", "growth_components"}

@@ -5,20 +5,28 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ternpow.cantor.search as search
 from ternpow import (
+    MultiplierSet,
+    SizeGuardError,
+    WitnessResult,
+    build_automaton,
     greedy_element,
     int_omits_digit,
     scan_problems,
     smallest_witness,
     theorem17_search,
+    trim,
     verify_sigma_subsets,
 )
-from ternpow.cantor.search import _bound_denominator
+from ternpow.cantor.dimension import growth_components
+from ternpow.cantor.search import _bound_denominator, _classify_normalized, _is_flush_state
 
 LOG3_2 = math.log(2) / math.log(3)
 
@@ -294,3 +302,88 @@ def test_scan_validation():
         scan_problems(5000)
     with pytest.raises(ValueError):
         scan_problems(50, limit=40)
+
+
+def _parent_smallest_witness(ms):
+    """Witness search that tests every state for flushness up front and
+    reconstructs through full preimages over all states."""
+    a = build_automaton(ms)
+    flush = {i for i, c in enumerate(a.states) if _is_flush_state(c)}
+
+    def preimage(digit, targets):
+        return {u for u in range(a.num_states) if a.transitions[u][digit] in targets}
+
+    layers, seen = [{0}], {0}
+    while True:
+        current = layers[-1]
+        if any(a.transitions[u][1] in flush for u in current):
+            best_len = len(layers)
+            break
+        nxt = set()
+        for u in current:
+            for t in a.transitions[u]:
+                if t is not None and t not in seen:
+                    seen.add(t)
+                    nxt.add(t)
+        if not nxt:
+            return WitnessResult(a.multipliers, False, None, None, None, True)
+        layers.append(nxt)
+    exact = [{0}]
+    for _ in range(best_len - 1):
+        exact.append({t for u in exact[-1] for t in a.transitions[u] if t is not None})
+    digits = [0] * best_len
+    digits[-1] = 1
+    allowed = preimage(1, flush)
+    for j in range(best_len - 2, -1, -1):
+        zero_side = preimage(0, allowed)
+        if exact[j] & zero_side:
+            allowed = zero_side
+        else:
+            digits[j] = 1
+            allowed = preimage(1, allowed)
+    n = sum(d * 3**j for j, d in enumerate(digits))
+    return WitnessResult(
+        a.multipliers, True, n, tuple(digits), _bound_denominator(n, a.multipliers[-1]), True
+    )
+
+
+def _parent_classify_normalized(m):
+    """Positive dimension from the rows of the trimmed machine's components."""
+    a = build_automaton(MultiplierSet.of([1, m]))
+    wit = _parent_smallest_witness(a.multipliers)
+    return wit.found, bool(growth_components(trim(a))), wit.n
+
+
+def test_classification_matches_trimmed_oracle_for_every_normal():
+    # every 3-free M <= 3000: in_mh from the untrimmed machine, and the lazy
+    # witness, agree with the trimmed rows and the full preimage search
+    for m in range(1, 3001):
+        if m % 3:
+            assert _classify_normalized(m) == _parent_classify_normalized(m), m
+
+
+def test_scan_matches_trimmed_oracle(monkeypatch):
+    fast = scan_problems(3000)
+    monkeypatch.setattr(
+        search, "_classify_normalized", lambda m, state_limit: _parent_classify_normalized(m)
+    )
+    assert fast == scan_problems(3000)
+
+
+def test_lazy_witness_matches_full_preimage_oracle():
+    # multipliers = 1 (mod 3) keep digit 1 alive at the start, so some
+    # triples admit a witness (four of these thirty do)
+    rng = random.Random(17)
+    triples = [[3 * rng.randrange(1, 12) + 1 for _ in range(3)] for _ in range(30)]
+    for ms in [[7, 10], [4, 7], [1, 4, 256], [1, 7, 49]] + triples:
+        assert smallest_witness(ms) == _parent_smallest_witness(ms), ms
+    assert any(_parent_smallest_witness(ms).found for ms in triples)
+    assert not all(_parent_smallest_witness(ms).found for ms in triples)
+
+
+def test_scan_honours_state_limit():
+    # {1, 7} already needs 4 states
+    for workers in (1, 2):
+        with pytest.raises(SizeGuardError):
+            scan_problems(10, workers=workers, state_limit=3)
+    assert scan_problems(10, state_limit=10**6) == scan_problems(10)
