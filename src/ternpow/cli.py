@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -41,7 +41,7 @@ from .cantor.search import DEFAULT_SCAN_LIMIT
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
 from .orbit.gaps import DEFAULT_GAP_PRECISION, three_gap_bruteforce
-from .precision import MIN_PRECISION, precision_cap
+from .precision import DEFAULT_PRECISION_CAP, MIN_PRECISION
 from .sieve import narkiewicz_check, sieve_report, survivors_N
 from .ternary import DyadicRational
 
@@ -82,7 +82,7 @@ def _serialize(value):
     if isinstance(value, mp.mpf):
         return mp.nstr(value, 40)
     if is_dataclass(value):
-        return {k: _serialize(v) for k, v in asdict(value).items()}
+        return {f.name: _serialize(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _serialize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, frozenset, set)):
@@ -201,12 +201,16 @@ def _build_parser() -> _Parser:
         prog="ternpow",
         description="Exact experiments on ternary digit expansions of powers of two.",
     )
+    # the environment is read once, here; argparse parses a string default
+    # like a typed value, so a bad one is a usage error
     parser.add_argument(
         "--precision-cap",
         type=_int_at_least(MIN_PRECISION),
-        default=None,
-        help="bits ceiling for certified interval escalation "
-        "(default: TERNARY_PRECISION_CAP or 65536; minimum 256)",
+        default=os.environ.get("TERNARY_PRECISION_CAP") or str(DEFAULT_PRECISION_CAP),
+        help="bits ceiling for certified interval escalation (default: "
+        "TERNARY_PRECISION_CAP, read once at start-up, else "
+        f"{DEFAULT_PRECISION_CAP}; minimum {MIN_PRECISION}; a bad value is a "
+        "usage error); verify runs at the library default",
     )
     parser.add_argument(
         "--state-limit",
@@ -374,7 +378,7 @@ def _cmd_sieve(args, config: RunConfig) -> str:
 
 
 def _cmd_cf(args, config: RunConfig) -> str:
-    cf = cf_log3_2(args.depth)
+    cf = cf_log3_2(args.depth, cap=config.precision_cap)
     results = {
         "depth": args.depth,
         "partial_quotients": cf.partial_quotients,
@@ -397,10 +401,10 @@ def _cmd_cf(args, config: RunConfig) -> str:
 def _cmd_three_gap(args, config: RunConfig) -> str:
     offset = args.offset
     depth = 14
-    cf = cf_log3_2(depth)
+    cf = cf_log3_2(depth, cap=config.precision_cap)
     while cf.q(cf.depth) + cf.q(cf.depth - 1) <= args.N:
         depth *= 2
-        cf = cf_log3_2(depth)
+        cf = cf_log3_2(depth, cap=config.precision_cap)
     spec = three_gap(cf, offset, args.N, args.prec)
     results = {
         "N": args.N,
@@ -425,7 +429,7 @@ def _cmd_three_gap(args, config: RunConfig) -> str:
 
 
 def _cmd_census(args, config: RunConfig) -> str:
-    report = theorem11_census(args.lam, args.max_x)
+    report = theorem11_census(args.lam, args.max_x, cap=config.precision_cap)
     return _emit_report(
         "census",
         config,
@@ -442,7 +446,9 @@ def _cmd_construct(args, config: RunConfig) -> str:
     policy = args.digit_policy
     if policy == "random":
         policy = f"random:{config.seed}"
-    state = construct_theorem12(args.levels, digit_policy=policy)
+    state = construct_theorem12(
+        args.levels, digit_policy=policy, cap=config.precision_cap
+    )
     return _emit_report(
         "construct",
         config,
@@ -563,29 +569,12 @@ def dispatch(argv: list[str]) -> tuple[str, int]:
 
 def _run(args) -> tuple[str, int]:
     config = RunConfig(
-        precision_cap=precision_cap(args.precision_cap),
+        precision_cap=args.precision_cap,
         state_limit=args.state_limit,
         seed=args.seed,
         threads=args.threads,
         output_format=getattr(args, "format", None) or getattr(args, "out", "json"),
     )
-    if args.precision_cap is None:
-        return _dispatch_command(args, config)
-    # the cap reaches nested escalations (and scan workers) through the
-    # environment; validate above first, and restore on the way out so an
-    # in-process caller does not leak the override into later work
-    old = os.environ.get("TERNARY_PRECISION_CAP")
-    os.environ["TERNARY_PRECISION_CAP"] = str(args.precision_cap)
-    try:
-        return _dispatch_command(args, config)
-    finally:
-        if old is None:
-            os.environ.pop("TERNARY_PRECISION_CAP", None)
-        else:
-            os.environ["TERNARY_PRECISION_CAP"] = old
-
-
-def _dispatch_command(args, config: RunConfig) -> tuple[str, int]:
     if args.command == "sieve":
         return _cmd_sieve(args, config), 0
     if args.command == "cf":

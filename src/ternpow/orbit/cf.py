@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..precision import alpha0_bounds, escalate, power_le
+from ..precision import DEFAULT_PRECISION_CAP, alpha0_bounds, escalate, power_le
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ def _shared_quotients(lo: Fraction, hi: Fraction, count: int) -> list[int]:
     return out
 
 
-def cf_log3_2(depth: int) -> CFExpansion:
+def cf_log3_2(depth: int, *, cap: int = DEFAULT_PRECISION_CAP) -> CFExpansion:
     """First ``depth`` partial quotients (beyond a0 = 0) of log3(2).
 
-    Precision starts at 256 bits and doubles, up to the precision cap, until
-    the enclosure is narrow enough for its endpoints to share depth + 1
-    quotients.
+    Precision starts at 256 bits and doubles until the enclosure is narrow
+    enough for its endpoints to share depth + 1 quotients; past ``cap`` bits
+    it raises PrecisionError (a 256-bit enclosure certifies 78 quotients).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -100,7 +100,9 @@ def cf_log3_2(depth: int) -> CFExpansion:
         quotients = _shared_quotients(lo, hi, depth + 1)
         return quotients if len(quotients) > depth else None
 
-    quotients = escalate(attempt, what=f"continued fraction of log3(2) to depth {depth}")
+    quotients = escalate(
+        attempt, cap=cap, what=f"continued fraction of log3(2) to depth {depth}"
+    )
     return CFExpansion.from_quotients(quotients)
 
 

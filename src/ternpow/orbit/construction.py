@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from ..errors import InsufficientDepth, PrecisionError
 from ..precision import (
+    DEFAULT_PRECISION_CAP,
     MIN_PRECISION,
     alpha0_bounds,
     certified_floor,
@@ -75,7 +76,9 @@ def _frac_enclosure_maker(l: int, shift: int):
     return make
 
 
-def _frac_below_threshold(l: int, r: int, texp: int) -> bool:
+def _frac_below_threshold(
+    l: int, r: int, texp: int, *, cap: int = DEFAULT_PRECISION_CAP
+) -> bool:
     """Certified test of frac(l * alpha0) = l * alpha0 - r < 2^-texp.
 
     The fractional part is irrational, so it never ties with the dyadic
@@ -85,15 +88,17 @@ def _frac_below_threshold(l: int, r: int, texp: int) -> bool:
         _frac_enclosure_maker(l, r),
         Fraction(1, 2**texp),
         start=max(MIN_PRECISION, l.bit_length() + texp + 32),
+        cap=cap,
         what=f"frac({l} * alpha0) vs 2^-{texp}",
     )
 
 
-def _floor_multiple_alpha0(m: int) -> int:
+def _floor_multiple_alpha0(m: int, *, cap: int = DEFAULT_PRECISION_CAP) -> int:
     """Exact floor(m * alpha0); never integral, so the floor is decidable."""
     return certified_floor(
         _frac_enclosure_maker(m, 0),
         start=max(MIN_PRECISION, m.bit_length() + 64),
+        cap=cap,
         what=f"floor({m} * alpha0)",
     )
 
@@ -110,7 +115,13 @@ class FindLk:
     lower_bound_ok: bool
 
 
-def find_lk(m_prev: int, k: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> FindLk:
+def find_lk(
+    m_prev: int,
+    k: int,
+    scan_limit: int = DEFAULT_SCAN_LIMIT,
+    *,
+    cap: int = DEFAULT_PRECISION_CAP,
+) -> FindLk:
     """Smallest l >= 2k with 0 < frac(l * alpha0) < 2^-(m_prev + 2k + 4).
 
     The candidates come from the one-sided record ladder (even convergents
@@ -129,7 +140,7 @@ def find_lk(m_prev: int, k: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> FindLk
     winner = None
     inspected: list[tuple[int, int]] = []
     while winner is None:
-        cf = cf_log3_2(depth)
+        cf = cf_log3_2(depth, cap=cap)
         ladder = _champion_ladder(cf)
         inspected = []
         for l, r in ladder:
@@ -139,7 +150,7 @@ def find_lk(m_prev: int, k: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> FindLk
                 inspected.append((l, r))
                 continue
             inspected.append((l, r))
-            if _frac_below_threshold(l, r, texp):
+            if _frac_below_threshold(l, r, texp, cap=cap):
                 winner = (l, r)
                 break
         if winner is None:
@@ -153,8 +164,8 @@ def find_lk(m_prev: int, k: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> FindLk
     scan_certified = False
     if l <= scan_limit:
         for cand in range(2 * k, l):
-            p = _floor_multiple_alpha0(cand)
-            if _frac_below_threshold(cand, p, texp):
+            p = _floor_multiple_alpha0(cand, cap=cap)
+            if _frac_below_threshold(cand, p, texp, cap=cap):
                 raise PrecisionError(
                     f"scan found l={cand} beating ladder winner {l}"
                 )
@@ -264,18 +275,14 @@ def _pick_low_window_value(
     return w
 
 
-def _zeros_required(m_prev: int, k: int) -> int:
-    """Exact ceil((m_prev + 2k + 2) * alpha0)."""
-    m = m_prev + 2 * k + 2
-    return _floor_multiple_alpha0(m) + 1  # never an integer
-
-
 def construct_theorem12(
     levels: int,
     digit_policy: str = "min",
     explicit_digits: dict[int, int] | None = None,
     scan_limit: int = DEFAULT_SCAN_LIMIT,
     bit_limit: int = DEFAULT_BIT_LIMIT,
+    *,
+    cap: int = DEFAULT_PRECISION_CAP,
 ) -> ConstructionState:
     """Run the level construction, checking every claim it relies on.
 
@@ -285,7 +292,8 @@ def construct_theorem12(
     Level 2's run length makes M_2 about 10^21 bits wide, so its scalar data
     is computed and certified but the integer itself is reported as
     infeasible to store.  Level 3 would need roughly 2^(m_2)-bit precision
-    and is rejected outright.
+    and is rejected outright.  Every certified decision escalates up to
+    ``cap`` bits.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -317,11 +325,11 @@ def construct_theorem12(
 
     level_data: list[FindLk] = []
     for k in range(1, levels + 1):
-        level_data.append(find_lk(m_values[-1], k, scan_limit=scan_limit))
+        level_data.append(find_lk(m_values[-1], k, scan_limit=scan_limit, cap=cap))
         m_values.append(m_values[-1] + level_data[-1].l)
         l_values.append(level_data[-1].l)
         r_values.append(level_data[-1].r)
-        s_floor.append(_floor_multiple_alpha0(m_values[-1]))
+        s_floor.append(_floor_multiple_alpha0(m_values[-1], cap=cap))
         s_sum.append(sum(r_values))
 
     for k in range(1, levels + 1):
@@ -335,10 +343,10 @@ def construct_theorem12(
         tail_margin_ok = None
         if k < levels:
             nxt = level_data[k]
-            tail_margin_ok = compare_power3_power2(nxt.r, nxt.l) < 0
+            tail_margin_ok = compare_power3_power2(nxt.r, nxt.l, cap=cap) < 0
 
         if not feasible:
-            low_ok = _low_window_in_bounds_certified(M, l, r, k)
+            low_ok = _low_window_in_bounds_certified(M, l, r, k, cap=cap)
             reports.append(
                 LevelReport(
                     level=k,
@@ -387,7 +395,8 @@ def construct_theorem12(
         M_new = (M << l) + d
         lam_new = lam + Fraction(d, 2**m)
 
-        zeros = _zeros_required(m_prev, k)
+        # exact ceil((m_prev + 2k + 2) * alpha0), never an integer
+        zeros = _floor_multiple_alpha0(m_prev + 2 * k + 2, cap=cap) + 1
         lead = leading_digits(1 << l, zeros + 1)
         run_zeros_ok = lead[0] == "1" and set(lead[1:]) <= {"0"}
 
@@ -452,7 +461,7 @@ def construct_theorem12(
 
 
 def _low_window_in_bounds_certified(
-    M_prev: int, l: int, r: int, k: int
+    M_prev: int, l: int, r: int, k: int, *, cap: int = DEFAULT_PRECISION_CAP
 ) -> bool:
     """Certified M_prev * (2^l - 3^r) <= 3^(r-k) without materializing.
 
@@ -473,5 +482,6 @@ def _low_window_in_bounds_certified(
         make,
         Fraction(0),
         start=max(MIN_PRECISION, l.bit_length() + M_prev.bit_length() + 64),
+        cap=cap,
         what="low window bound",
     )

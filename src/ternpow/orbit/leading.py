@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InsufficientDigits
-from ..precision import power_le
+from ..precision import DEFAULT_PRECISION_CAP, power_le
 from ..sieve import count_N
 from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit
 from .cf import cf_log3_2
@@ -43,7 +43,9 @@ def census_bound_check(census: int, X: int) -> bool:
     return power_le(census, 400, (25, 400), (X, 389))
 
 
-def theorem11_census(lam: DyadicRational, X: int) -> CensusReport:
+def theorem11_census(
+    lam: DyadicRational, X: int, *, cap: int = DEFAULT_PRECISION_CAP
+) -> CensusReport:
     """Count n <= X whose top ternary digits omit 2.
 
     The prefix length k is tied to the continued fraction of log3 2: l is
@@ -62,7 +64,7 @@ def theorem11_census(lam: DyadicRational, X: int) -> CensusReport:
     """
     if X < 2:
         raise ValueError("X must be >= 2")
-    cf = cf_log3_2(40)
+    cf = cf_log3_2(40, cap=cap)
     l = 1
     while not (cf.q(l - 1) < X <= cf.q(l)):
         l += 1

@@ -4,10 +4,10 @@ Real-valued comparisons (log ratios, fractional parts, window endpoints)
 are never decided on bare floats.  An enclosure is a ``(lo, hi)`` pair of
 exact Fractions with lo <= x <= hi.  A decision is accepted only when the
 pair separates cleanly from the threshold, and otherwise the working
-precision doubles up to a configurable cap.  Callers combine pairs in exact
-rational arithmetic (l * log3(2) - r is ``(l*lo - r, l*hi - r)``), so an
-escalation loop can only stall on a genuine tie, which callers rule out
-arithmetically before asking.
+precision doubles up to the ``cap`` argument its caller passes down.
+Callers combine pairs in exact rational arithmetic (l * log3(2) - r is
+``(l*lo - r, l*hi - r)``), so an escalation loop can only stall on a
+genuine tie, which callers rule out arithmetically before asking.
 
 The pairs come from ``alpha0_bounds`` and ``log3_bounds``, which read the
 endpoints of mpmath interval logs exactly.  mpmath appears only in this
@@ -26,7 +26,6 @@ powers are built only when the brackets overlap.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, TypeVar
@@ -36,46 +35,35 @@ from mpmath import iv, mp
 from .errors import PrecisionError
 
 
-# Working precision floor and default escalation cap, in bits.  The cap can
-# be overridden per call or process-wide through TERNARY_PRECISION_CAP.
+# Working precision floor and default escalation cap, in bits.
 MIN_PRECISION = 256
 DEFAULT_PRECISION_CAP = 1 << 16
 
 _T = TypeVar("_T")
 
 
-def precision_cap(override: int | None = None) -> int:
-    """Resolve the active precision cap (bits), honoring the environment."""
-    if override is not None:
-        cap = int(override)
-    else:
-        env = os.environ.get("TERNARY_PRECISION_CAP")
-        cap = int(env) if env else DEFAULT_PRECISION_CAP
-    if cap < MIN_PRECISION:
-        raise ValueError(f"precision cap {cap} below minimum {MIN_PRECISION}")
-    return cap
-
-
 def escalate(
     attempt: Callable[[int], _T | None],
     *,
     start: int = MIN_PRECISION,
-    cap: int | None = None,
+    cap: int = DEFAULT_PRECISION_CAP,
     what: str = "certified decision",
 ) -> _T:
     """Run ``attempt`` at doubling precisions until it returns a result.
 
     ``attempt(prec)`` returns None when the enclosure at ``prec`` bits is too
-    wide to decide.  Raises PrecisionError once the cap is exceeded.
+    wide to decide.  Raises PrecisionError once ``cap`` bits are exceeded,
+    and ValueError for a cap below MIN_PRECISION.
     """
-    limit = precision_cap(cap)
+    if cap < MIN_PRECISION:
+        raise ValueError(f"precision cap {cap} below minimum {MIN_PRECISION}")
     prec = max(MIN_PRECISION, start)
-    while prec <= limit:
+    while prec <= cap:
         result = attempt(prec)
         if result is not None:
             return result
         prec *= 2
-    raise PrecisionError(f"{what} still ambiguous at cap {limit} bits")
+    raise PrecisionError(f"{what} still ambiguous at cap {cap} bits")
 
 
 @contextmanager
@@ -151,7 +139,7 @@ def certified_less_than(
     threshold: Fraction,
     *,
     start: int = MIN_PRECISION,
-    cap: int | None = None,
+    cap: int = DEFAULT_PRECISION_CAP,
     what: str = "comparison",
 ) -> bool:
     """Decide x < threshold for a real x that never ties with it, given
@@ -172,7 +160,7 @@ def certified_floor(
     make: Callable[[int], tuple[Fraction, Fraction]],
     *,
     start: int = MIN_PRECISION,
-    cap: int | None = None,
+    cap: int = DEFAULT_PRECISION_CAP,
     what: str = "floor",
 ) -> int:
     """Floor of a provably non-integral real, given exact bounds
@@ -187,7 +175,7 @@ def certified_floor(
     return escalate(attempt, start=start, cap=cap, what=what)
 
 
-def compare_power3_power2(p: int, q: int, *, cap: int | None = None) -> int:
+def compare_power3_power2(p: int, q: int, *, cap: int = DEFAULT_PRECISION_CAP) -> int:
     """Exact sign of 3^p - 2^q.
 
     3^p - 2^q has the sign of p - q*log3(2), which is nonzero for every

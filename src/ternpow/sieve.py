@@ -14,7 +14,8 @@ lifting a class only while its new digit is 0 or 1.  Once the modulus
 exceeds the range, a class holds at most one exponent, and that exponent
 alone gets the exact digit check, which reads A * 2^m mod 3^w for doubling
 windows w and never builds A * 2^m itself.  The work grows like X^0.63
-instead of X.
+instead of X.  The same walk tallies a sieve report's per-depth counts;
+``survivor_chain`` rebuilds whole survivor sets on every call.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class PadicApprox:
         return self.value % 3**k
 
 
-# survivor chains keyed by the multiplier residue they were built for
-_CHAIN_CACHE: dict[int, list[frozenset[int]]] = {}
-
-
 def survivor_chain(k: int, multiplier: int = 1) -> list[frozenset[int]]:
     """Survivor sets for depths 1..k with a fixed odd multiplier A.
 
@@ -88,14 +85,8 @@ def survivor_chain(k: int, multiplier: int = 1) -> list[frozenset[int]]:
         raise ValueError("k must be >= 1")
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
-    chain = _CHAIN_CACHE.setdefault(multiplier, [])
-    if not chain:
-        base = frozenset(
-            r for r in (0, 1) if (multiplier * pow(2, r, 3)) % 3 != 2
-        )
-        chain.append(base)
-    while len(chain) < k:
-        j = len(chain) + 1  # depth being built
+    chain = [frozenset(r for r in (0, 1) if (multiplier * pow(2, r, 3)) % 3 != 2)]
+    for j in range(2, k + 1):  # depth being built
         prev_mod = multiplicative_order_pow2(j - 1)
         mod3j = 3**j
         scale = 3 ** (j - 1)
@@ -107,7 +98,7 @@ def survivor_chain(k: int, multiplier: int = 1) -> list[frozenset[int]]:
                 if digit != 2:
                     nxt.add(n)
         chain.append(frozenset(nxt))
-    return chain[:k]
+    return chain
 
 
 def residue_survivors(k: int, multiplier: int = 1) -> frozenset[int]:
@@ -147,48 +138,60 @@ def _omits_two_above(A: int, m: int, known: int) -> bool:
         checked, low = w, top
 
 
-def _tree_survivors(A: int, lo: int, hi: int) -> list[int]:
-    """Sorted exponents m in [lo, hi] for which A * 2^m omits digit 2.
+def _tree_survivors(
+    A: int, lo: int, hi: int, report_depth: int = 0
+) -> tuple[list[int], list[int]]:
+    """Sorted exponents m in [lo, hi] for which A * 2^m omits digit 2, and
+    the per-depth class counts of the walk that finds them.
 
     A must be positive.  The walk is depth-first over the survivor tree; a
-    node is (r, j, v) with r a class mod 2*3^(j-1), r <= hi, and
+    node is (r, j, v) with r a class mod m_j = 2*3^(j-1), r <= hi, and
     v = A * 2^r mod 3^depth, where depth is the first level whose modulus
-    exceeds hi.  Lifting r by t * 2*3^(j-1) multiplies v by lift[j]^t, so
-    reading a new digit costs one small multiplication.  For A prime to 3
-    two of every three lifts survive; a factor 3^t of A only adds t zero
-    digits and lets every lift through t levels, so callers strip it.
+    exceeds hi, or report_depth if that is deeper.  Lifting r by t * m_j
+    multiplies v by lift[j]^t, so reading a new digit costs one small
+    multiplication.  For A prime to 3 two of every three lifts survive; a
+    factor 3^t of A only adds t zero digits and lets every lift through t
+    levels, so callers strip it.
+
+    counts[j-1] (j <= report_depth) is #{n in [0, hi] : the j low digits of
+    A * 2^n omit 2}, summed over the surviving classes r at level j, which
+    hold (hi - r) // m_j + 1 exponents each (none when r > hi).
     """
+    counts = [0] * report_depth
     if hi < lo:
-        return []
-    depth = 1
+        return [], counts
+    depth = max(1, report_depth)
     while multiplicative_order_pow2(depth) <= hi:
         depth += 1
     mod = 3**depth
     pow3 = [3**j for j in range(depth)]
-    lift = [0] + [pow(2, multiplicative_order_pow2(j), mod) for j in range(1, depth)]
+    order = [0] + [multiplicative_order_pow2(j) for j in range(1, depth + 1)]
+    lift = [0] + [pow(2, m, mod) for m in order[1:depth]]
     out = []
     stack = [(r, 1, A * pow(2, r, mod) % mod) for r in (0, 1) if r <= hi]
     while stack:
         r, j, v = stack.pop()
         if v // pow3[j - 1] % 3 == 2:
             continue
+        if j <= report_depth:
+            counts[j - 1] += (hi - r) // order[j] + 1
         if j == depth:
             if r >= lo and _omits_two_above(A, r, depth):
                 out.append(r)
             continue
-        step, g = multiplicative_order_pow2(j), lift[j]
+        step, g = order[j], lift[j]
         for n in range(r, min(r + 3 * step, hi + 1), step):
             stack.append((n, j + 1, v))
             v = v * g % mod
     out.sort()
-    return out
+    return out, counts
 
 
 def enumerate_digit2free_powers(X: int) -> list[int]:
     """All exponents 0 <= n <= X for which 2^n omits the ternary digit 2."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    return _tree_survivors(1, 0, X)
+    return _tree_survivors(1, 0, X)[0]
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,11 @@ class SieveReport:
     """Outcome of a sieve run over exponents 0..bound.
 
     counts_per_k[k-1] is the number of exponents in [0, bound] that survive
-    the residue filter at depth k, for k = 1..REPORT_DEPTH.  work_units is
-    the last of them: the depth-12 residue survivors, which a fixed-depth
-    scan would check in full.  It is not the number of exact checks the
-    survivor tree makes.
+    the residue filter at depth k, for k = 1..REPORT_DEPTH, summed over the
+    depth-k classes of the same survivor-tree walk that finds the
+    survivors.  work_units is the last of them: the depth-12 residue
+    survivors, which a fixed-depth scan would check in full.  It is not the
+    number of exact checks the survivor tree makes.
     """
 
     bound: int
@@ -229,17 +233,14 @@ def narkiewicz_check(count: int, X: int) -> bool:
 
 def sieve_report(X: int) -> SieveReport:
     """Run the sieve and collect per-depth candidate counts plus the
-    count bound check for the exact survivor list."""
-    survivors = enumerate_digit2free_powers(X)
-    counts = tuple(
-        _count_in_range(sk, multiplicative_order_pow2(k), 0, X)
-        for k, sk in enumerate(survivor_chain(REPORT_DEPTH), start=1)
-    )
+    count bound check for the exact survivor list, all from one walk of the
+    survivor tree; narkiewicz_check rejects X < 1."""
+    survivors, counts = _tree_survivors(1, 0, X, REPORT_DEPTH)
     exact_count = sum(1 for n in survivors if n >= 1)
     return SieveReport(
         bound=X,
         survivors=tuple(survivors),
-        counts_per_k=counts,
+        counts_per_k=tuple(counts),
         work_units=counts[-1],
         narkiewicz_ok=narkiewicz_check(exact_count, X),
     )
@@ -260,7 +261,7 @@ def survivors_N(lam: DyadicRational, X: int) -> tuple[int, ...]:
     core = A
     while core % 3 == 0:
         core //= 3
-    out.extend(m + s for m in _tree_survivors(core, 1, X - s))
+    out.extend(m + s for m in _tree_survivors(core, 1, X - s)[0])
     return tuple(out)
 
 

@@ -162,12 +162,12 @@ def test_enclosure_quotients_match_power_ladder(cf400):
         assert cf_log3_2(depth).partial_quotients == _ladder_cf_log3_2(depth)
 
 
-def test_cap_frontier_at_minimum_precision(monkeypatch):
+def test_cap_frontier_at_minimum_precision():
     # a 256-bit enclosure of log3(2) certifies exactly 78 quotients
-    monkeypatch.setenv("TERNARY_PRECISION_CAP", "256")
-    assert cf_log3_2(78).depth == 78
+    assert cf_log3_2(78, cap=256).depth == 78
     with pytest.raises(PrecisionError):
-        cf_log3_2(79)
+        cf_log3_2(79, cap=256)
+    assert cf_log3_2(79).depth == 79  # the default cap goes further
 
 
 def _lemma22_literal(qn: int, qn1: int) -> bool:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
-from ternpow import acceptance
-from ternpow.cli import RunConfig, dispatch, main
+from ternpow import acceptance, hausdorff_dimension, scan_problems
+from ternpow.cli import _INLINE_INT_LIMIT, RunConfig, _serialize, dispatch, main
+from ternpow.errors import PrecisionError
 
 
 def _run(argv):
@@ -316,3 +321,116 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["command"] == "cf"
+
+
+def _cli_subprocess(argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "ternpow.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, **env},
+    )
+
+
+@pytest.mark.parametrize("cap", ["abc", "100"])
+@pytest.mark.parametrize("argv", [["cf", "--depth", "3"], ["scan", "--max-M", "5"]])
+def test_bad_cap_variable_is_usage_error(cap, argv):
+    proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP=cap)
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "--precision-cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cap_variable_is_the_flag_default():
+    # an empty value counts as unset; a set value caps like the flag, which
+    # overrides it
+    proc = _cli_subprocess(["cf", "--depth", "79"], TERNARY_PRECISION_CAP="")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["config"]["precision_cap"] == 65536
+    proc = _cli_subprocess(["cf", "--depth", "79"], TERNARY_PRECISION_CAP="256")
+    assert proc.returncode == 2
+    assert "PrecisionError" in proc.stderr
+    argv = ["--precision-cap", "512", "cf", "--depth", "79"]
+    proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP="256")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["config"]["precision_cap"] == 512
+
+
+def test_dispatch_leaves_the_environment_alone():
+    before = dict(os.environ)
+    dispatch(["--precision-cap", "512", "cf", "--depth", "3"])
+    with pytest.raises(PrecisionError):
+        dispatch(["--precision-cap", "256", "cf", "--depth", "79"])
+    assert dict(os.environ) == before
+
+
+def test_failed_cap_does_not_reach_the_next_command():
+    with pytest.raises(PrecisionError):
+        dispatch(["--precision-cap", "256", "cf", "--depth", "79"])
+    payload = _run(["cf", "--depth", "79"])
+    assert len(payload["results"]["partial_quotients"]) == 80
+    assert payload["config"]["precision_cap"] == 65536
+
+
+def _asdict_serialize(value):
+    """The earlier serializer, which walked an ``asdict`` copy; oracle for
+    the direct field walk."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value if abs(value) < _INLINE_INT_LIMIT else str(value)
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, mp.mpf):
+        return mp.nstr(value, 40)
+    if is_dataclass(value):
+        return {k: _asdict_serialize(v) for k, v in asdict(value).items()}
+    if isinstance(value, dict):
+        return {str(k): _asdict_serialize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, frozenset, set)):
+        seq = sorted(value) if isinstance(value, (set, frozenset)) else value
+        return [_asdict_serialize(v) for v in seq]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def test_serialize_matches_asdict_walk():
+    for value in (scan_problems(300), hausdorff_dimension([1, 7])):
+        got = json.dumps(_serialize(value), sort_keys=True)
+        assert got == json.dumps(_asdict_serialize(value), sort_keys=True)
+
+
+# stdout sha256 of each command at its defaults; --threads is pinned because
+# the config block is printed
+PINNED_STDOUT = {
+    ("sieve", "--max-exponent", "200000"):
+        "c7bd18a7944ee3dedc05915d4d4fb626ac3b63f6e231ce9c43450705c7d21e69",
+    ("sieve", "--lambda", "45/2^3", "--max-exponent", "100000"):
+        "2017c01ef8a27e90d326ff838bbf115ebde795140371f2c167402534444e71c3",
+    ("census", "--lambda", "1", "--max", "20000"):
+        "acac9ddcb0168f72fe962270b9b5bc2c70ca9a3a2d97ddb92a62307f0c5a42f8",
+    ("cf", "--depth", "400"):
+        "79ffa994ab6b0e2e81dd52ed50f22220a0a9f90eb0e45bcdb50781605e911321",
+    ("construct", "--levels", "2", "--digit-policy", "random:5"):
+        "47c5ed3e44d317e74b87fc61647b46dbf6328bd13934501b5fa5c49ef7d27373",
+    ("three-gap", "--N", "123456789", "--offset", "3/97"):
+        "f138cc549fc94d74227084b53a4a349ca371e1be342a597c0d9bcd033bbc568f",
+    ("dimension", "--multipliers", "1,7"):
+        "a813676c42b5e3576df6068e2e2d90aaeddc0f7f78c2a7ea0a67c4e7420758e8",
+    ("scan", "--max-M", "300"):
+        "f28d0758128d468254040c01b3d06ff468921451e1798a68a829301030151fee",
+}
+
+
+def test_stdout_bytes_are_pinned():
+    digests = {}
+    for argv in PINNED_STDOUT:
+        text, code = dispatch(["--threads", "1", *argv])
+        assert code == 0
+        digests[argv] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_STDOUT

@@ -7,12 +7,16 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
+import ternpow.orbit.cf
+import ternpow.precision
 from ternpow import (
     ConstructionState,
+    DyadicRational,
     construct_theorem12,
     find_lk,
     int_omits_digit,
     leading_digits,
+    theorem11_census,
 )
 from ternpow.orbit.construction import (
     _floor_multiple_alpha0,
@@ -233,3 +237,21 @@ def test_low_window_log_test_matches_exp_oracle():
         assert got == _iv_low_window(M_prev, 65, 41, 1), M_prev
         verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_cap_reaches_every_escalation(monkeypatch):
+    # the cap is passed down, not read from anywhere: every certified
+    # decision of a level-2 construction and of a census escalates under it
+    caps = []
+    escalate = ternpow.precision.escalate
+
+    def recording(attempt, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return escalate(attempt, **kwargs)
+
+    monkeypatch.setattr(ternpow.precision, "escalate", recording)
+    monkeypatch.setattr(ternpow.orbit.cf, "escalate", recording)
+    state = construct_theorem12(2, cap=4096)
+    theorem11_census(DyadicRational.parse("1"), 1000, cap=4096)
+    assert len(caps) > 60 and set(caps) == {4096}
+    assert state == construct_theorem12(2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import ternpow.orbit
 import ternpow.precision
+import ternpow.sieve
 
 PACKAGE = Path(ternpow.precision.__file__).parent
 
@@ -54,6 +55,7 @@ def test_precision_exports_no_interval_objects():
         "iv_endpoints",
         "alpha0_mpf",
         "ulp",
+        "precision_cap",
     ):
         assert not hasattr(ternpow.precision, name), name
 
@@ -74,3 +76,38 @@ def test_scan_reads_growth_from_the_built_machine():
     }
     assert "has_growth" in names  # the walk sees the search module's imports
     assert not names & {"trim", "growth_components"}
+
+
+# settings reach a command through argv only; cli.py reads the one variable
+# that defaults --precision-cap
+_ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def _environment_reads(path: Path) -> list[int]:
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in _ENVIRONMENT_NAMES
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENVIRONMENT_NAMES for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_reads_the_environment():
+    readers = {
+        path.relative_to(PACKAGE).as_posix(): lines
+        for path in PACKAGE.rglob("*.py")
+        if (lines := _environment_reads(path))
+    }
+    assert "cli.py" in readers  # the walk sees os.environ
+    assert set(readers) == {"cli.py"}, readers
+
+
+def test_sieve_exports_no_chain_memo():
+    assert not hasattr(ternpow.sieve, "_CHAIN_CACHE")

@@ -25,7 +25,6 @@ from ternpow.precision import (
     log3_bounds,
     math_floor_log3,
     power_le,
-    precision_cap,
 )
 from ternpow import census_bound_check, narkiewicz_check
 
@@ -48,14 +47,29 @@ def test_escalate_raises_at_cap():
         escalate(lambda prec: None, start=256, cap=512, what="never decides")
 
 
+def _last_precision_tried(**kwargs) -> int:
+    """Largest precision escalate tries before giving up."""
+    tried = []
+
+    def never(prec):
+        tried.append(prec)
+        return None
+
+    with pytest.raises(PrecisionError):
+        escalate(never, **kwargs)
+    return tried[-1]
+
+
 def test_precision_cap_env_and_floor(monkeypatch):
+    # the cap is an argument only: the environment no longer reaches it
     monkeypatch.delenv("TERNARY_PRECISION_CAP", raising=False)
-    assert precision_cap() == DEFAULT_PRECISION_CAP
+    assert _last_precision_tried() == DEFAULT_PRECISION_CAP
     monkeypatch.setenv("TERNARY_PRECISION_CAP", "2048")
-    assert precision_cap() == 2048
-    assert precision_cap(4096) == 4096  # explicit override wins
+    assert _last_precision_tried() == DEFAULT_PRECISION_CAP
+    assert _last_precision_tried(cap=2048) == 2048
+    assert _last_precision_tried(cap=4096) == 4096
     with pytest.raises(ValueError):
-        precision_cap(MIN_PRECISION - 1)
+        escalate(lambda prec: "unused", cap=MIN_PRECISION - 1)
 
 
 @given(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import ternpow.sieve
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from ternpow import (
     survivors_N,
 )
 from ternpow.precision import math_floor_log3
+from ternpow.sieve import REPORT_DEPTH, _count_in_range
 
 
 def _brute_powers(X: int) -> list[int]:
@@ -182,6 +185,40 @@ def test_sieve_report_below_report_depth():
     )
     assert rep.work_units == 2331
     assert rep.narkiewicz_ok
+
+
+def _chain_counts(X: int) -> tuple[int, ...]:
+    """Oracle for counts_per_k: the depth-k survivor sets of the chain,
+    each counted over [0, X]."""
+    return tuple(
+        _count_in_range(sk, multiplicative_order_pow2(k), 0, X)
+        for k, sk in enumerate(survivor_chain(REPORT_DEPTH), start=1)
+    )
+
+
+def test_sieve_report_counts_match_survivor_chain():
+    # bounds below, at and across the depth-11, -12 and -13 moduli
+    for X in (1, 2, 5, 100, 1000, 4374, 118097, 118098, 200_000, 354294, 10**6):
+        rep = sieve_report(X)
+        assert rep.counts_per_k == _chain_counts(X), X
+        assert rep.work_units == rep.counts_per_k[-1]
+
+
+def test_survivor_chain_is_rebuilt_equal():
+    for a in (1, 5, 45):
+        first, second = survivor_chain(12, a), survivor_chain(12, a)
+        assert first == second
+        assert first is not second
+    assert survivor_chain(5) == survivor_chain(9)[:5]
+
+
+def test_sieve_module_holds_no_dict():
+    held = [
+        name
+        for name, value in vars(ternpow.sieve).items()
+        if not name.startswith("__") and isinstance(value, dict)
+    ]
+    assert held == []
 
 
 def test_sieve_report_validation():
