@@ -41,7 +41,8 @@ from .sieve import (
     enumerate_digit2free_powers,
     multiplicative_order_pow2,
     narkiewicz_check,
-    residue_survivors,
+    sieve_report,
+    survivor_chain,
 )
 from .ternary import DyadicRational, int_omits_digit, leading_digits
 
@@ -99,11 +100,11 @@ def criterion_2_count_bounds() -> CriterionResult:
 
 
 def criterion_3_residue_structure() -> CriterionResult:
-    """Survivor residue classes number exactly 2^(k-1), matching brute force."""
+    """Survivor residue classes number exactly 2^(k-1), matching brute force,
+    and the survivor-tree walk the commands run counts the same classes."""
     t0 = time.perf_counter()
     ok = True
-    for k in range(1, 13):
-        got = residue_survivors(k)
+    for k, got in enumerate(survivor_chain(12), start=1):
         ok &= len(got) == 2 ** (k - 1)
         if k <= 7:
             modulus = multiplicative_order_pow2(k)
@@ -113,11 +114,15 @@ def criterion_3_residue_structure() -> CriterionResult:
                 if int_omits_digit(pow(2, n, 3**k), 2)
             )
             ok &= got == brute
+    # [0, 2*3^11 - 1] holds 3^(12-k) whole periods 2*3^(k-1) at depth k
+    counts = sieve_report(2 * 3**11 - 1).counts_per_k
+    ok &= all(counts[k - 1] == 2 ** (k - 1) * 3 ** (12 - k) for k in range(1, 13))
     return CriterionResult(
         3,
         "residue-structure",
         ok,
-        "sizes 2^(k-1) for k=1..12; brute-force match for k<=7",
+        "sizes 2^(k-1) for k=1..12; brute-force match for k<=7; "
+        "tree counts 2^(k-1)*3^(12-k) over 2*3^11 exponents",
         time.perf_counter() - t0,
     )
 

@@ -60,13 +60,6 @@ class MultiplierSet:
             out.add(m)
         return MultiplierSet(tuple(sorted(out)))
 
-    @property
-    def is_normalized(self) -> bool:
-        return (
-            self.multipliers[0] == 1
-            and all(m % 3 != 0 for m in self.multipliers)
-        )
-
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.multipliers)
 
@@ -89,9 +82,6 @@ class CarryAutomaton:
     def num_states(self) -> int:
         return len(self.states)
 
-    def step(self, state: int, digit: int) -> int | None:
-        return self.transitions[state][digit]
-
     def walk(self, digits) -> int | None:
         """Final state after consuming digits LSF, or None if rejected."""
         s: int | None = 0
@@ -100,9 +90,6 @@ class CarryAutomaton:
             if s is None:
                 return None
         return s
-
-    def out_degree(self, state: int) -> int:
-        return sum(1 for t in self.transitions[state] if t is not None)
 
     def to_json(self) -> str:
         payload = {

@@ -216,84 +216,37 @@ class GreedyElement:
     m: int
     digits: tuple[int, ...]
     value: int
-    backtracks: int
 
 
-def greedy_element(
-    m: int, r: int, pure_greedy: bool = False, state_limit: int = DEFAULT_STATE_LIMIT
-) -> GreedyElement:
+def greedy_element(m: int, r: int) -> GreedyElement:
     """Digit string d0=1, d1..d_{r-1} with the low r digits of m*value 2-free.
 
-    Prefers digit 0 at every step.  By default a depth-first search with
-    failure memoization backtracks past stalls; pure_greedy=True applies the
-    single-step rule only and raises if it ever stalls, exposing whether the
-    greedy choice alone suffices (an open experiment).  For a single
-    multiplier coprime to 3 a stall is actually impossible: digit 0 dies only
-    when c = 2 mod 3 and digit 1 only when m + c = 2 mod 3, which cannot
-    both hold, so every state keeps an exit and the flag exists to document
-    that fact empirically.
+    Walks the {1, m} carry machine from the state after the leading 1,
+    taking digit 0 whenever the machine allows it and digit 1 otherwise.
+    The walk never stalls: from carry c, digit 0 dies only when
+    c = 2 mod 3 and digit 1 only when m + c = 2 mod 3, which for
+    m = 1 mod 3 cannot both hold, so every state keeps an exit.
     """
     if m % 3 != 1:
         raise ValueError("m must be congruent to 1 mod 3")
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = build_automaton(MultiplierSet.of([m]), state_limit)
+    a = build_automaton(MultiplierSet.of([m]))
 
-    first = a.transitions[0][1]
-    if first is None:
+    state = a.transitions[0][1]
+    if state is None:
         raise AssertionError("digit 1 rejected at start despite m % 3 == 1")
-
     digits = [1]
-    if pure_greedy:
-        state = first
-        for _ in range(r - 1):
-            to0, to1 = a.transitions[state]
-            if to0 is not None:
-                digits.append(0)
-                state = to0
-            elif to1 is not None:
-                digits.append(1)
-                state = to1
-            else:
-                raise ValueError(
-                    f"pure greedy stalled for m={m} after {len(digits)} digits"
-                )
-        return GreedyElement(
-            m=m,
-            digits=tuple(digits),
-            value=sum(d * 3**j for j, d in enumerate(digits)),
-            backtracks=0,
-        )
-
-    # DFS preferring 0, memoizing (state, remaining) dead ends
-    failed: set[tuple[int, int]] = set()
-    backtracks = 0
-
-    def extend(state: int, remaining: int) -> bool:
-        nonlocal backtracks
-        if remaining == 0:
-            return True
-        if (state, remaining) in failed:
-            return False
-        for d in (0, 1):
-            t = a.transitions[state][d]
-            if t is None:
-                continue
-            digits.append(d)
-            if extend(t, remaining - 1):
-                return True
-            digits.pop()
-            backtracks += 1
-        failed.add((state, remaining))
-        return False
-
-    if not extend(first, r - 1):
-        raise AssertionError(f"no admissible length-{r} prefix for m={m}")
+    for _ in range(r - 1):
+        d = 0 if a.transitions[state][0] is not None else 1
+        state = a.transitions[state][d]
+        if state is None:
+            raise AssertionError(f"no exit for m={m} after {len(digits)} digits")
+        digits.append(d)
     return GreedyElement(
         m=m,
         digits=tuple(digits),
         value=sum(d * 3**j for j, d in enumerate(digits)),
-        backtracks=backtracks,
     )
 
 

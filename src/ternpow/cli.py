@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -469,7 +469,7 @@ def _cmd_dimension(args, config: RunConfig) -> str:
         prefix_depth=args.prefix_depth,
         state_limit=config.state_limit,
     )
-    results = asdict(est)
+    results = _serialize(est)
     results["value"] = est.value
     if args.exact_charpoly:
         poly = exact_charpoly(ms, state_limit=config.state_limit)
@@ -525,7 +525,7 @@ def _cmd_search_n(args, config: RunConfig) -> str:
         res = smallest_witness(ms, state_limit=config.state_limit)
     else:
         res = theorem17_search(ms, args.max_n)
-    results = asdict(res)
+    results = _serialize(res)
     results["bound"] = res.bound
     if res.digits is not None:
         results["digits"] = "".join(str(d) for d in reversed(res.digits))

@@ -40,9 +40,10 @@ from ..ternary import (
 )
 from .cf import CFExpansion, cf_log3_2
 
-DEFAULT_SCAN_LIMIT = 200_000
+# run lengths up to this get an exhaustive certified minimality scan
+SCAN_LIMIT = 200_000
 # materialization cap on m_k: beyond this, M_k is reported, not stored
-DEFAULT_BIT_LIMIT = 1_000_000
+BIT_LIMIT = 1_000_000
 _MAX_CF_DEPTH = 512
 
 
@@ -115,20 +116,14 @@ class FindLk:
     lower_bound_ok: bool
 
 
-def find_lk(
-    m_prev: int,
-    k: int,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-    *,
-    cap: int = DEFAULT_PRECISION_CAP,
-) -> FindLk:
+def find_lk(m_prev: int, k: int, *, cap: int = DEFAULT_PRECISION_CAP) -> FindLk:
     """Smallest l >= 2k with 0 < frac(l * alpha0) < 2^-(m_prev + 2k + 4).
 
     The candidates come from the one-sided record ladder (even convergents
     of log3 2 and their semiconvergents); every earlier l is ruled out
     because its fractional part is at least the last record above the
-    threshold.  When the winner is small enough, an exhaustive certified
-    scan over [2k, l) re-proves minimality independently.
+    threshold.  When the winner is at most SCAN_LIMIT, an exhaustive
+    certified scan over [2k, l) re-proves minimality independently.
     """
     if m_prev < 0:
         raise ValueError("m_prev must be >= 0")
@@ -162,7 +157,7 @@ def find_lk(
 
     l, r = winner
     scan_certified = False
-    if l <= scan_limit:
+    if l <= SCAN_LIMIT:
         for cand in range(2 * k, l):
             p = _floor_multiple_alpha0(cand, cap=cap)
             if _frac_below_threshold(cand, p, texp, cap=cap):
@@ -279,8 +274,6 @@ def construct_theorem12(
     levels: int,
     digit_policy: str = "min",
     explicit_digits: dict[int, int] | None = None,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-    bit_limit: int = DEFAULT_BIT_LIMIT,
     *,
     cap: int = DEFAULT_PRECISION_CAP,
 ) -> ConstructionState:
@@ -325,7 +318,7 @@ def construct_theorem12(
 
     level_data: list[FindLk] = []
     for k in range(1, levels + 1):
-        level_data.append(find_lk(m_values[-1], k, scan_limit=scan_limit, cap=cap))
+        level_data.append(find_lk(m_values[-1], k, cap=cap))
         m_values.append(m_values[-1] + level_data[-1].l)
         l_values.append(level_data[-1].l)
         r_values.append(level_data[-1].r)
@@ -336,7 +329,7 @@ def construct_theorem12(
         flk = level_data[k - 1]
         l, r, m = flk.l, flk.r, m_values[k]
         m_prev = m_values[k - 1]
-        feasible = m <= bit_limit
+        feasible = m <= BIT_LIMIT
 
         # tail margin: the next level's digit cannot disturb floor(lam * 2^m),
         # because d_{k+1} <= 3^(r_{k+1}) < 2^(l_{k+1})

@@ -14,8 +14,10 @@ lifting a class only while its new digit is 0 or 1.  Once the modulus
 exceeds the range, a class holds at most one exponent, and that exponent
 alone gets the exact digit check, which reads A * 2^m mod 3^w for doubling
 windows w and never builds A * 2^m itself.  The work grows like X^0.63
-instead of X.  The same walk tallies a sieve report's per-depth counts;
-``survivor_chain`` rebuilds whole survivor sets on every call.
+instead of X.  The same walk tallies a sieve report's per-depth counts and
+the k-digit surrogate count of ``count_tilde_N``; every count here comes from
+it.  ``survivor_chain`` builds the whole survivor sets per depth and is kept
+as the reference those counts are checked against.
 """
 
 from __future__ import annotations
@@ -106,19 +108,6 @@ def residue_survivors(k: int, multiplier: int = 1) -> frozenset[int]:
     return survivor_chain(k, multiplier)[-1]
 
 
-def _count_in_range(survivors: frozenset[int], modulus: int, lo: int, hi: int) -> int:
-    """#{n in [lo, hi] : n mod modulus in survivors}."""
-    if hi < lo:
-        return 0
-    total = 0
-    for r in survivors:
-        # smallest n >= lo with n === r
-        first = lo + (r - lo) % modulus
-        if first <= hi:
-            total += (hi - first) // modulus + 1
-    return total
-
-
 def _omits_two_above(A: int, m: int, known: int) -> bool:
     """Exact check that A * 2^m omits digit 2, given its `known` low digits do.
 
@@ -151,7 +140,8 @@ def _tree_survivors(
     multiplies v by lift[j]^t, so reading a new digit costs one small
     multiplication.  For A prime to 3 two of every three lifts survive; a
     factor 3^t of A only adds t zero digits and lets every lift through t
-    levels, so callers strip it.
+    levels, so callers that enumerate survivors strip it; the counts hold
+    for any positive A.
 
     counts[j-1] (j <= report_depth) is #{n in [0, hi] : the j low digits of
     A * 2^n omit 2}, summed over the surviving classes r at level j, which
@@ -313,8 +303,9 @@ def count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
     if residue == 0:
         count = X  # 0 * 2^n has only zero digits
     else:
-        count = _count_in_range(
-            residue_survivors(k, residue), multiplicative_order_pow2(k), 1, X
+        # the walk counts [0, X]; n = 0 survives when the residue omits 2
+        count = _tree_survivors(residue, 0, X, k)[1][k - 1] - int_omits_digit(
+            residue, 2
         )
     bound_ok = power_le(count, 100000, (2, 100000), (X, 63093))
     return TildeCount(count=count, k=k, bound=X, bound_ok=bound_ok)

@@ -46,10 +46,11 @@ def test_multiplier_set_parsing_and_normalization():
     assert ms.multipliers == (1, 7, 21)
     norm = ms.normalized()
     assert norm.multipliers == (1, 7)
-    assert norm.is_normalized
+    assert norm == norm.normalized()
     assert str(norm) == "1,7"
     assert MultiplierSet.of([9]).normalized().multipliers == (1,)
-    assert not MultiplierSet.of([3]).is_normalized
+    three = MultiplierSet.of([3])
+    assert three != three.normalized()
 
 
 def test_multiplier_set_validation():
@@ -224,7 +225,7 @@ def test_trim_keeps_only_extendable_states():
     t = trim(a)
     assert t.trimmed
     assert t.num_states <= a.num_states
-    assert all(t.out_degree(i) >= 1 for i in range(t.num_states))
+    assert all(pair != (None, None) for pair in t.transitions)
     assert t.states[0] == a.states[0]
     # trimming the residue-2 machine keeps the start state's zero loop
     t2 = trim(build_automaton([1, 2]))
@@ -247,7 +248,7 @@ def test_walk_rejects_on_first_bad_digit():
     a = build_automaton([1, 2])
     assert a.walk([0, 0, 0]) == 0
     assert a.walk([1]) is None
-    assert a.step(0, 1) is None
+    assert a.transitions[0][1] is None
 
 
 def test_json_export_roundtrips():

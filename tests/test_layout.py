@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
+import ternpow.cantor.automaton
+import ternpow.cantor.search
 import ternpow.orbit
+import ternpow.orbit.construction
 import ternpow.precision
 import ternpow.sieve
 
@@ -111,3 +117,50 @@ def test_only_the_cli_reads_the_environment():
 
 def test_sieve_exports_no_chain_memo():
     assert not hasattr(ternpow.sieve, "_CHAIN_CACHE")
+
+
+def test_replaced_paths_are_gone():
+    # the greedy walk and the survivor-tree count each have one implementation
+    assert not hasattr(ternpow.sieve, "_count_in_range")
+    greedy_fields = dataclasses.fields(ternpow.cantor.search.GreedyElement)
+    assert "backtracks" not in {f.name for f in greedy_fields}
+    params = inspect.signature(ternpow.cantor.search.greedy_element).parameters
+    assert not {"pure_greedy", "state_limit"} & set(params)
+    automaton = ternpow.cantor.automaton
+    assert not hasattr(automaton.CarryAutomaton, "step")
+    assert not hasattr(automaton.CarryAutomaton, "out_degree")
+    assert not hasattr(automaton.MultiplierSet, "is_normalized")
+    construction = ternpow.orbit.construction
+    for name in ("DEFAULT_SCAN_LIMIT", "DEFAULT_BIT_LIMIT"):
+        assert not hasattr(construction, name), name
+    assert "scan_limit" not in inspect.signature(construction.find_lk).parameters
+    build = inspect.signature(construction.construct_theorem12).parameters
+    assert not {"scan_limit", "bit_limit"} & set(build)
+
+
+def test_cli_serializes_without_asdict():
+    names = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        for alias in node.names
+    }
+    assert "fields" in names  # the walk sees the dataclasses import
+    assert "asdict" not in names
+
+
+def test_traced_functions_exist():
+    # the span tracer wraps these functions by name at their modules
+    path = PACKAGE.parent.parent / "perfbench" / "layers.py"
+    tree = ast.parse(path.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert "survivor_chain" in targets["sieve"]
+    for layer, names in targets.items():
+        module = importlib.import_module(f"ternpow.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

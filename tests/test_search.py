@@ -138,7 +138,6 @@ def test_greedy_element_known_prefixes():
     g = greedy_element(1, 10)
     assert g.digits == (1,) + (0,) * 9
     assert g.value == 1
-    assert g.backtracks == 0
 
     g7 = greedy_element(7, 16)
     assert g7.digits[0] == 1
@@ -156,14 +155,53 @@ def test_greedy_element_validation():
         greedy_element(7, 0)
 
 
+def _backtracking_greedy(a, r):
+    """Oracle: the earlier depth-first search preferring digit 0, with a
+    memo of (state, remaining) dead ends.  Returns (digits, value,
+    backtracks) on the single-multiplier machine a."""
+    first = a.transitions[0][1]
+    digits = [1]
+    failed = set()
+    backtracks = 0
+
+    def extend(state, remaining):
+        nonlocal backtracks
+        if remaining == 0:
+            return True
+        if (state, remaining) in failed:
+            return False
+        for d in (0, 1):
+            t = a.transitions[state][d]
+            if t is None:
+                continue
+            digits.append(d)
+            if extend(t, remaining - 1):
+                return True
+            digits.pop()
+            backtracks += 1
+        failed.add((state, remaining))
+        return False
+
+    assert extend(first, r - 1)
+    return tuple(digits), sum(d * 3**j for j, d in enumerate(digits)), backtracks
+
+
 def test_pure_greedy_never_stalls_for_single_multipliers():
     # single multipliers coprime to 3 keep an exit from every state, so the
-    # one-step rule already succeeds; both routes must agree
+    # backtracking search never backtracks and the greedy walk matches it
     for m in range(4, 200, 3):
-        pure = greedy_element(m, 64, pure_greedy=True)
-        dfs = greedy_element(m, 64)
-        assert pure.digits == dfs.digits
-        assert dfs.backtracks == 0
+        digits, value, backtracks = _backtracking_greedy(build_automaton([m]), 64)
+        assert backtracks == 0
+        g = greedy_element(m, 64)
+        assert (g.digits, g.value) == (digits, value)
+
+
+def test_greedy_walk_matches_backtracking_search():
+    for m in range(1, 3000, 3):
+        a = build_automaton([m])
+        for r in (1, 2, 17, 64):
+            g = greedy_element(m, r)
+            assert (g.digits, g.value) == _backtracking_greedy(a, r)[:2], (m, r)
 
 
 def test_sigma_subsets_frozen_counts():

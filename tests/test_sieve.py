@@ -28,7 +28,7 @@ from ternpow import (
     survivors_N,
 )
 from ternpow.precision import math_floor_log3
-from ternpow.sieve import REPORT_DEPTH, _count_in_range
+from ternpow.sieve import REPORT_DEPTH
 
 
 def _brute_powers(X: int) -> list[int]:
@@ -187,6 +187,19 @@ def test_sieve_report_below_report_depth():
     assert rep.narkiewicz_ok
 
 
+def _count_in_range(survivors: frozenset[int], modulus: int, lo: int, hi: int) -> int:
+    """Oracle: #{n in [lo, hi] : n mod modulus in survivors}."""
+    if hi < lo:
+        return 0
+    total = 0
+    for r in survivors:
+        # smallest n >= lo with n === r
+        first = lo + (r - lo) % modulus
+        if first <= hi:
+            total += (hi - first) // modulus + 1
+    return total
+
+
 def _chain_counts(X: int) -> tuple[int, ...]:
     """Oracle for counts_per_k: the depth-k survivor sets of the chain,
     each counted over [0, X]."""
@@ -341,6 +354,25 @@ def test_surrogate_count_matches_brute_count(residue):
         )
         assert tc.count == brute
         assert tc.bound_ok == (tc.count**100000 <= 2**100000 * X**63093)
+
+
+def test_surrogate_count_matches_survivor_chain():
+    # the earlier count: the depth-k survivor set of the residue, counted
+    # over [1, X]; a residue that vanishes mod 3^k counts every n
+    rng = random.Random(20240611)
+    draws = [(rng.randrange(3**16), rng.randint(1, 30_000)) for _ in range(300)]
+    draws += [(0, 1), (0, 30_000), (3**12, 20_000), (2 * 3**9, 5000), (3**5 * 7, 4000)]
+    for value, X in draws:
+        tc = count_tilde_N(PadicApprox.from_int(value, 16), X)
+        residue = value % 3**tc.k
+        modulus = multiplicative_order_pow2(tc.k)
+        assert modulus // 3 < X <= modulus
+        if residue == 0:
+            want = X
+        else:
+            want = _count_in_range(residue_survivors(tc.k, residue), modulus, 1, X)
+        # bound_ok reads only count and X; the brute-count test checks it
+        assert tc.count == want, (value, X)
 
 
 def test_surrogate_requires_enough_digits():
