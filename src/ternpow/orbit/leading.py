@@ -1,10 +1,11 @@
 """Leading-digit census of floor(lambda * 2^n) (paper section 3).
 
 For n = 1..X the census reads the top k ternary digits of the exact integer
-floor(lambda * 2^n) and counts the exponents whose top digits omit 2.  The
-prefix length k is tied to the continued fraction of log3 2, and the counts
-are checked against the paper's bounds by exact integer arithmetic; no
-decision here depends on rounding.
+floor(lambda * 2^n), through a certified window of it with outward rounding,
+and counts the exponents whose top digits omit 2.  The prefix length k is
+tied to the continued fraction of log3 2, and the counts are checked against
+the paper's bounds by exact integer arithmetic; no decision here depends on
+rounding.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from ..precision import DEFAULT_PRECISION_CAP, power_le
 from ..sieve import count_N
 from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit
 from .cf import cf_log3_2
+
+# guard bits of the census window beyond log2 X; see theorem11_census
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,19 @@ def theorem11_census(
     confines each run of q_{l-1} - 1 consecutive exponents to at most
     6 * 2^(k-1) hits, which the report verifies empirically.
 
-    The top digits are v // scale with scale = 3^(digits(v) - k), or 1
-    while v has at most k digits.  v never decreases in n, so scale is
-    carried from one exponent to the next and only ever multiplied by 3
-    while the quotient still has more than k digits.
+    The top digits of v = floor(lam * 2^n) are floor(v / 3^e).  v never
+    decreases in n, so the scale exponent e is carried from one exponent to
+    the next and only ever raised while the quotient still has more than k
+    digits.  For lam = A / 2^s, v doubles exactly at each n > s, so past
+    n = max(s, 1) the census carries a window lo <= v * 2^G / 3^e <= hi of
+    a few machine words instead of v, with G = _GUARD_BITS + X.bit_length().
+    A step doubles both bounds, raises e while lo >> G has more than k
+    digits (rounding lo down and hi up), and reads top = lo >> G when
+    hi >> G agrees.  Every decision is an exact integer comparison; an
+    undecided one, like every n <= max(s, 1), recomputes v exactly and
+    reseeds the window from it.  The width grows at most linearly in n, so
+    a test stays undecided only when v / 3^e lies within a small multiple
+    of 2^-_GUARD_BITS of an integer.
     """
     if X < 2:
         raise ValueError("X must be >= 2")
@@ -75,29 +88,40 @@ def theorem11_census(
     while limit < q_lower:
         k, limit = k + 1, limit * 3
 
-    census = 0
-    scale = 1
+    guard = _GUARD_BITS + X.bit_length()
+    exact_until = max(lam.exponent, 1)
+    census = e = lo = hi = 0
     block_length = max(1, q_lower - 1)
-    block_counts: list[int] = []
-    current_block = 0
+    per_block_max = current_block = 0
     for n in range(1, X + 1):
-        if n > 1 and (n - 1) % block_length == 0:
-            block_counts.append(current_block)
+        if (n - 1) % block_length == 0:
+            per_block_max = max(per_block_max, current_block)
             current_block = 0
-        v = floor_times_pow2(lam, n)
-        if v < 1:
-            continue
-        top = v // scale
-        while top >= limit:
-            scale *= 3
-            top //= 3
+        if n > exact_until:
+            lo, hi = lo << 1, hi << 1
+            while lo >> guard >= limit:
+                e += 1
+                lo //= 3
+                hi = -(-hi // 3)
+        top = lo >> guard
+        if n <= exact_until or top != hi >> guard:
+            v = floor_times_pow2(lam, n)
+            if v < 1:
+                continue
+            scale = 3**e
+            top = v // scale
+            while top >= limit:
+                e += 1
+                scale *= 3
+                top //= 3
+            lo = (v << guard) // scale
+            hi = lo + 1
         if int_omits_digit(top, 2):
             census += 1
             current_block += 1
-    block_counts.append(current_block)
+    per_block_max = max(per_block_max, current_block)
 
     per_block_bound = 6 * 2 ** (k - 1)
-    per_block_max = max(block_counts)
     return CensusReport(
         X=X,
         lam=str(lam),

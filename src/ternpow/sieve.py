@@ -14,10 +14,11 @@ lifting a class only while its new digit is 0 or 1.  Once the modulus
 exceeds the range, a class holds at most one exponent, and that exponent
 alone gets the exact digit check, which reads A * 2^m mod 3^w for doubling
 windows w and never builds A * 2^m itself.  The work grows like X^0.63
-instead of X.  The same walk tallies a sieve report's per-depth counts and
-the k-digit surrogate count of ``count_tilde_N``; every count here comes from
-it.  ``survivor_chain`` builds the whole survivor sets per depth and is kept
-as the reference those counts are checked against.
+instead of X.  The same walk tallies a sieve report's per-depth counts, and,
+stopped at depth k without leaf checks, the k-digit surrogate count of
+``count_tilde_N``; every count here comes from it.  ``survivor_chain`` builds
+the whole survivor sets per depth and is kept as the reference those counts
+are checked against.
 """
 
 from __future__ import annotations
@@ -128,10 +129,13 @@ def _omits_two_above(A: int, m: int, known: int) -> bool:
 
 
 def _tree_survivors(
-    A: int, lo: int, hi: int, report_depth: int = 0
+    A: int, lo: int, hi: int, report_depth: int = 0, *, leaves: bool = True
 ) -> tuple[list[int], list[int]]:
     """Sorted exponents m in [lo, hi] for which A * 2^m omits digit 2, and
     the per-depth class counts of the walk that finds them.
+
+    With leaves=False the walk stops at report_depth (at least 1) and
+    returns only the counts, with an empty exponent list.
 
     A must be positive.  The walk is depth-first over the survivor tree; a
     node is (r, j, v) with r a class mod m_j = 2*3^(j-1), r <= hi, and
@@ -151,7 +155,7 @@ def _tree_survivors(
     if hi < lo:
         return [], counts
     depth = max(1, report_depth)
-    while multiplicative_order_pow2(depth) <= hi:
+    while leaves and multiplicative_order_pow2(depth) <= hi:
         depth += 1
     mod = 3**depth
     pow3 = [3**j for j in range(depth)]
@@ -166,7 +170,7 @@ def _tree_survivors(
         if j <= report_depth:
             counts[j - 1] += (hi - r) // order[j] + 1
         if j == depth:
-            if r >= lo and _omits_two_above(A, r, depth):
+            if leaves and r >= lo and _omits_two_above(A, r, depth):
                 out.append(r)
             continue
         step, g = order[j], lift[j]
@@ -304,8 +308,7 @@ def count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
         count = X  # 0 * 2^n has only zero digits
     else:
         # the walk counts [0, X]; n = 0 survives when the residue omits 2
-        count = _tree_survivors(residue, 0, X, k)[1][k - 1] - int_omits_digit(
-            residue, 2
-        )
+        counts = _tree_survivors(residue, 0, X, k, leaves=False)[1]
+        count = counts[k - 1] - int_omits_digit(residue, 2)
     bound_ok = power_le(count, 100000, (2, 100000), (X, 63093))
     return TildeCount(count=count, k=k, bound=X, bound_ok=bound_ok)

@@ -414,6 +414,8 @@ PINNED_STDOUT = {
         "2017c01ef8a27e90d326ff838bbf115ebde795140371f2c167402534444e71c3",
     ("census", "--lambda", "1", "--max", "20000"):
         "acac9ddcb0168f72fe962270b9b5bc2c70ca9a3a2d97ddb92a62307f0c5a42f8",
+    ("census", "--lambda", "1999/2^5", "--max", "100000"):
+        "af18a79a422cb5a25baaf86e10ddb44fe0ae772037bc89a24b3afee866f8722d",
     ("cf", "--depth", "400"):
         "79ffa994ab6b0e2e81dd52ed50f22220a0a9f90eb0e45bcdb50781605e911321",
     ("construct", "--levels", "2", "--digit-policy", "random:5"):

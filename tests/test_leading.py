@@ -1,5 +1,6 @@
-"""The leading-digit census, against the loop that recomputed floor(log3 v)
-and 3^(digits - k) at every exponent."""
+"""The leading-digit census, which carries a certified window of
+v * 2^G / 3^e between exponents, against the loop that recomputed the exact
+v, floor(log3 v) and 3^(digits - k) at every exponent."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from ternpow import (
     int_to_digits,
     theorem11_census,
 )
+from ternpow.orbit import leading
 from ternpow.precision import math_floor_log3
 
 
@@ -106,8 +108,9 @@ def test_census_power_of_three_lambda_matches_oracle():
 
 def test_classification_reads_true_digits():
     # X = 2 gives k = 1, and the first value 1999/2^5 * 2 = 124 (11211 in
-    # base 3) already has five digits: the carried scale must reach 3^4 to
-    # read its true top digit 1, not the 2 of 124 // 3 = 41 (1112)
+    # base 3) already has five digits: the exact path, which every n <= s
+    # takes, must raise the scale to 3^4 to read its true top digit 1, not
+    # the 2 of 124 // 3 = 41 (1112)
     rep = _assert_matches_oracle(1999, 5, 2)
     assert rep.k == 1
     assert rep.census == 2
@@ -125,7 +128,7 @@ def test_classify_below_one_has_no_digits():
     st.integers(min_value=2, max_value=300),
 )
 def test_dual_routes_agree(num, s, X):
-    # the carried scale against a fresh floor(log3 v) and power of 3
+    # the certified window against a fresh floor(log3 v) and power of 3
     _assert_matches_oracle(num, s, X)
 
 
@@ -169,6 +172,66 @@ def test_census_benchmark_size_pinned():
     assert rep.exact_count == 2
     assert rep.block_length == 1053
     assert rep.per_block_max == 73
+
+
+@pytest.mark.parametrize(
+    "X, l, k, q, census, per_block_max",
+    [
+        (100_000, 12, 10, (50508, 125743), 1920, 972),
+        (300_000, 14, 11, (176251, 301994), 3863, 2257),
+    ],
+)
+def test_census_sizes_pinned_beyond_the_exact_loop(X, l, k, q, census, per_block_max):
+    # lambda = 1 censuses recorded with the exact loop, whose cost grew
+    # quadratically in X
+    rep = theorem11_census(DyadicRational.from_pair(1, 0), X)
+    assert (rep.l, rep.k) == (l, k)
+    assert (rep.q_lower, rep.q_upper) == q
+    assert rep.census == census
+    assert rep.exact_count == 2
+    assert rep.per_block_max == per_block_max
+
+
+def _count_exact_steps(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    exact = leading.floor_times_pow2
+
+    def counted(lam, n):
+        calls.append(n)
+        return exact(lam, n)
+
+    monkeypatch.setattr(leading, "floor_times_pow2", counted)
+    return calls
+
+
+def test_window_without_guard_bits_falls_back_exactly(monkeypatch):
+    # with no guard bits the window is undecided time and again; every
+    # undecided step recomputes v exactly, so the census must not move
+    monkeypatch.setattr(leading, "_GUARD_BITS", 0)
+    calls = _count_exact_steps(monkeypatch)
+    rng = random.Random(1318)
+    lams = [(1, 0), (729, 0), (2**61 - 1, 0), (3**50, 2)]
+    lams += [(rng.randrange(1, 2000, 2), rng.randint(0, 5)) for _ in range(6)]
+    for num, s in lams:
+        calls.clear()
+        _assert_matches_oracle(num, s, 2000)
+        assert len(calls) > max(s, 1)
+
+
+@pytest.mark.parametrize("num, s, X", [(1, 0, 20_000), (1999, 5, 300_000)])
+def test_window_makes_only_the_seed_steps_exact(monkeypatch, num, s, X):
+    calls = _count_exact_steps(monkeypatch)
+    theorem11_census(DyadicRational.from_pair(num, s), X)
+    assert calls == list(range(1, max(s, 1) + 1))
+
+
+def test_window_seam_after_the_exact_steps():
+    # 5/2^9: n <= 9 are exact (v = 0 up to n = 6, then 1, 2, 5), and n = 10
+    # is the first window step, doubling the window seeded from v = 5
+    _assert_matches_oracle(5, 9, 10)
+    # 1/2^50: every n <= 30 is exact and v = 0, so no window is ever seeded
+    rep = _assert_matches_oracle(1, 50, 30)
+    assert rep.census == 0
 
 
 def test_census_against_direct_count():

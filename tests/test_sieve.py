@@ -16,6 +16,7 @@ from ternpow import (
     InsufficientDigits,
     PadicApprox,
     SieveReport,
+    TildeCount,
     count_N,
     count_tilde_N,
     enumerate_digit2free_powers,
@@ -27,7 +28,7 @@ from ternpow import (
     survivor_chain,
     survivors_N,
 )
-from ternpow.precision import math_floor_log3
+from ternpow.precision import math_floor_log3, power_le
 from ternpow.sieve import REPORT_DEPTH
 
 
@@ -373,6 +374,43 @@ def test_surrogate_count_matches_survivor_chain():
             want = _count_in_range(residue_survivors(tc.k, residue), modulus, 1, X)
         # bound_ok reads only count and X; the brute-count test checks it
         assert tc.count == want, (value, X)
+
+
+def _leaf_walk_count_tilde_N(lam: PadicApprox, X: int) -> TildeCount:
+    """count_tilde_N as it read the level-k counts off the full tree walk,
+    which goes down to the leaves and checks each one exactly."""
+    x3 = math_floor_log3(X)
+    assert lam.precision >= x3 + (0 if 3**x3 == X else 1) + 2
+    k = 1
+    while multiplicative_order_pow2(k) < X:
+        k += 1
+    residue = lam.residue(k)
+    if residue == 0:
+        count = X
+    else:
+        counts = ternpow.sieve._tree_survivors(residue, 0, X, k)[1]
+        count = counts[k - 1] - int_omits_digit(residue, 2)
+    bound_ok = power_le(count, 100000, (2, 100000), (X, 63093))
+    return TildeCount(count=count, k=k, bound=X, bound_ok=bound_ok)
+
+
+def test_surrogate_count_matches_leaf_walk():
+    # the count-only walk stops at level k; the full walk reads the same
+    # level-k counts
+    rng = random.Random(20261018)
+    draws = [(rng.randrange(3**16), rng.randint(1, 30_000)) for _ in range(200)]
+    draws += [(0, 1), (0, 30_000), (3**12, 20_000), (1, 2), (1, 3), (2, 6)]
+    for value, X in draws:
+        lam = PadicApprox.from_int(value, 16)
+        assert count_tilde_N(lam, X) == _leaf_walk_count_tilde_N(lam, X), (value, X)
+
+
+def test_count_only_walk_checks_no_leaf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leaf checked")
+
+    monkeypatch.setattr(ternpow.sieve, "_omits_two_above", refuse)
+    assert count_tilde_N(PadicApprox.from_int(1, 24), 10_000).count == 205
 
 
 def test_surrogate_requires_enough_digits():
