@@ -129,12 +129,15 @@ def build_automaton(
     space is finite; discovery past state_limit raises SizeGuardError.
     States are numbered in breadth-first order of discovery, digit 0 before
     digit 1.  The implicit multiplier 1 emits the input digit itself and
-    always keeps carry 0, so only the other carries are stepped.
+    always keeps carry 0, so only the other carries are stepped, and a
+    set {1, m} steps its one other carry as a plain int.
     """
     if not isinstance(ms, MultiplierSet):
         ms = MultiplierSet.of(ms)
     ms = ms.normalized()
     mults = ms.multipliers
+    if len(mults) == 2:
+        return _build_pair(ms, state_limit)
 
     start = (0,) * len(mults)
     index = {start: 0}
@@ -155,10 +158,7 @@ def build_automaton(
                 i = index.get(nxt)
                 if i is None:
                     if len(states) >= state_limit:
-                        raise SizeGuardError(
-                            f"carry machine for {{{ms}}} exceeds "
-                            f"{state_limit} states"
-                        )
+                        raise _too_many(ms, state_limit)
                     i = index[nxt] = len(states)
                     states.append(nxt)
                 pair[d] = i
@@ -169,6 +169,41 @@ def build_automaton(
         transitions=tuple(transitions),
         trimmed=False,
     )
+
+
+def _build_pair(ms: MultiplierSet, state_limit: int) -> CarryAutomaton:
+    """build_automaton for a normalized {1, m}: the same breadth-first
+    search on the single int carry c of m, so the same states in the same
+    order.  Digit 0 leads to c // 3 unless c = 2 mod 3, and digit 1 to
+    (c + m) // 3 unless c + m = 2 mod 3."""
+    m = ms.multipliers[1]
+    index = {0: 0}
+    carries = [0]
+    transitions: list[tuple[int | None, int | None]] = []
+    for c in carries:
+        pair: list[int | None] = [None, None]
+        for d, t in enumerate((c, c + m)):
+            if t % 3 == 2:
+                continue
+            nxt = t // 3
+            i = index.get(nxt)
+            if i is None:
+                if len(carries) >= state_limit:
+                    raise _too_many(ms, state_limit)
+                i = index[nxt] = len(carries)
+                carries.append(nxt)
+            pair[d] = i
+        transitions.append((pair[0], pair[1]))
+    return CarryAutomaton(
+        multipliers=ms.multipliers,
+        states=tuple((0, c) for c in carries),
+        transitions=tuple(transitions),
+        trimmed=False,
+    )
+
+
+def _too_many(ms: MultiplierSet, state_limit: int) -> SizeGuardError:
+    return SizeGuardError(f"carry machine for {{{ms}}} exceeds {state_limit} states")
 
 
 def trim(a: CarryAutomaton) -> CarryAutomaton:

@@ -14,15 +14,22 @@ out-edges inside, are exactly those with radius above 1: rho = 1 when there
 is none, and otherwise each gets one Collatz-Wielandt certificate.  For
 B = A + I and any positive integer vector x, the min and max of
 (Bx)_i / x_i enclose rho(B) = rho(A) + 1 in exact rational arithmetic, not
-floating point.  x comes from integer power iteration started at the
-all-ones vector, which is already an eigenvector of the one-state {1}
-machine, so that certificate is the exact point rho = 2.
+floating point.  x is a float guess checked exactly (the pattern of Rump,
+"Verification methods", Acta Numerica 19, 2010): float power iteration
+runs until the float ratios agree to TARGET_WIDTH / 8, its vector is
+rounded to positive integers, and integer power iteration starts from
+those, reading the enclosure at once and then after FIRST_READING,
+2 * FIRST_READING, ... steps.  Because the enclosure holds for every
+positive x, rounding and float error can only widen it, never make it
+wrong.  A component whose floats do not settle starts from all ones.
+The one-state {1} machine settles at once on all ones, its exact
+eigenvector, so its certificate is the exact point rho = 2.
 
-Each power step is one pass over index triples (i, a, b): a component row
-has one or two targets, so it is padded to two with a slot that always
-holds 0, and (Bx)_i = x_i + x_a + x_b.  A reading finds the smallest and
-largest (Bx)_i / x_i by integer cross-multiplication and builds only those
-two Fractions.
+Each power step, float or integer, is one pass over index triples
+(i, a, b): a component row has one or two targets, so it is padded to two
+with a slot that always holds 0, and (Bx)_i = x_i + x_a + x_b.  An integer
+reading finds the smallest and largest (Bx)_i / x_i by integer
+cross-multiplication and builds only those two Fractions.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 from ..errors import SizeGuardError
 from ..precision import MIN_PRECISION, log3_bounds
@@ -42,11 +50,23 @@ from .automaton import (
 )
 
 DEFAULT_PREFIX_DEPTH = 60
-# the certificate is read after 64, 128, ..., MAX_ITERATIONS power steps and
-# returned at the first reading narrower than TARGET_WIDTH
+# the deepest prefix table the CLI accepts: a count stays below 2^R, and
+# 2^10000 has 3011 decimal digits, inside the 4300-digit limit of Python's
+# int-to-str conversion that printing the counts goes through
+MAX_PREFIX_DEPTH = 10_000
+# the certificate is read after 0, 64, 128, ..., MAX_ITERATIONS power steps
+# and returned at the first reading narrower than TARGET_WIDTH
 TARGET_WIDTH = Fraction(1, 10**10)
 FIRST_READING = 64
 MAX_ITERATIONS = 4096
+# the float seed: power steps between spread readings, the spread that
+# counts as settled, the max that triggers a renormalization, and the floor
+# of an entry relative to the max, which is the integer loop's floor of 1
+# at its 64-bit scale
+_FLOAT_BLOCK = 8
+_FLOAT_SETTLED = float(TARGET_WIDTH) / 8
+_FLOAT_RESCALE = 2.0**512
+_FLOAT_FLOOR = 2.0**-64
 _CHARPOLY_STATE_LIMIT = 64
 
 
@@ -157,14 +177,53 @@ def growth_components(trimmed: CarryAutomaton) -> list[list[list[int]]]:
     return growth
 
 
+def _float_seed(triples, n: int) -> list[int] | None:
+    """Positive integer start vector for _cw_bounds from float power
+    iteration, or None when the floats do not settle.
+
+    Runs the same step in floats from all ones.  Entries only grow under
+    B = A + I, so the vector is renormalized by its max only once that
+    passes _FLOAT_RESCALE, and each renormalized entry is floored at
+    _FLOAT_FLOOR so that none underflows to 0.  Every _FLOAT_BLOCK steps it
+    reads the float spread of (Bx)_i / x_i.  Once the spread is below
+    _FLOAT_SETTLED and every entry is at least _FLOAT_FLOOR of the max (so
+    the floor played no part), the vector, scaled so its max is 1, is
+    rounded to the positive integers floor(v * 2^64).  A component whose
+    Perron entries span more than that never settles and gets None.  The
+    floats pick the start vector only; every bound is read in exact
+    integers.
+    """
+    x = [1.0] * n + [0.0]
+    for _ in range(0, MAX_ITERATIONS, _FLOAT_BLOCK):
+        for _ in range(_FLOAT_BLOCK):
+            y = [x[i] + x[a] + x[b] for i, a, b in triples]
+            y.append(0.0)
+            x, prev = y, x
+        ratios = list(map(truediv, x[:n], prev))
+        top = max(x)
+        low = top * _FLOAT_FLOOR
+        if max(ratios) - min(ratios) < _FLOAT_SETTLED and min(x[:n]) >= low:
+            # v / low is v * 2^64 / top, at least 1
+            return [int(v / low) for v in x[:n]]
+        if top > _FLOAT_RESCALE:
+            x = [v / top if v > low else _FLOAT_FLOOR for v in x[:n]]
+            x.append(0.0)
+    return None
+
+
 def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
     """Collatz-Wielandt enclosure of the spectral radius of an irreducible
     component given by sparse rows, and whether it met TARGET_WIDTH.
 
     Power-iterates B = A + I (the shift kills periodicity) on an integer
-    vector from all ones, renormalizing by shifts to keep entries bounded;
-    the min and max of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for
-    any positive x.  One run serves every reading.
+    vector, renormalizing by shifts to keep entries bounded; the min and
+    max of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for any
+    positive x.  The vector starts from the rounded float Perron guess of
+    _float_seed when the floats settled, and from all ones otherwise.
+    Since the enclosure holds for every positive start, the floats move
+    only its width, never its soundness, and a component they cannot
+    settle gets the all-ones enclosure.  One run serves every reading:
+    after 0, FIRST_READING, 2 * FIRST_READING, ..., MAX_ITERATIONS steps.
 
     x carries a trailing 0 at index n, and every row is padded to two
     targets with that index, so a step is x_i + x_a + x_b per triple.
@@ -174,8 +233,9 @@ def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
     """
     n = len(rows)
     triples = [(i, *(row + [n, n])[:2]) for i, row in enumerate(rows)]
-    x = [1] * n + [0]
-    steps, reading = 0, FIRST_READING
+    x = _float_seed(triples, n) or [1] * n
+    x.append(0)
+    steps, reading = 0, 0
     while True:
         y = [x[i] + x[a] + x[b] for i, a, b in triples]
         if steps == reading:
@@ -191,7 +251,7 @@ def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
             converged = hi - lo <= TARGET_WIDTH
             if converged or reading >= MAX_ITERATIONS:
                 return lo, hi, converged
-            reading *= 2
+            reading = max(FIRST_READING, 2 * reading)
         # renormalize to keep the integers from exploding
         shift = max(y).bit_length() - 64
         if shift > 0:

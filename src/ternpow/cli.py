@@ -37,6 +37,7 @@ from .cantor import (
     theorem17_search,
     trim,
 )
+from .cantor.dimension import DEFAULT_PREFIX_DEPTH, MAX_PREFIX_DEPTH
 from .cantor.search import DEFAULT_SCAN_LIMIT
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
@@ -286,7 +287,13 @@ def _build_parser() -> _Parser:
         "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
     )
     p.add_argument("--exact-charpoly", action="store_true")
-    p.add_argument("--prefix-depth", type=_int_at_least(1), default=60, metavar="R")
+    p.add_argument(
+        "--prefix-depth",
+        type=_int_at_least(1, at_most=MAX_PREFIX_DEPTH),
+        default=DEFAULT_PREFIX_DEPTH,
+        metavar="R",
+        help=f"number of prefix counts, at most {MAX_PREFIX_DEPTH}",
+    )
 
     p = sub.add_parser(
         "scan",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..errors import InsufficientDigits
 from ..precision import DEFAULT_PRECISION_CAP, power_le
 from ..sieve import count_N
-from ..ternary import DyadicRational, floor_times_pow2, int_omits_digit
+from ..ternary import DyadicRational, floor_times_pow2
 from .cf import cf_log3_2
 
 # guard bits of the census window beyond log2 X; see theorem11_census
@@ -73,7 +73,8 @@ def theorem11_census(
     undecided one, like every n <= max(s, 1), recomputes v exactly and
     reseeds the window from it.  The width grows at most linearly in n, so
     a test stays undecided only when v / 3^e lies within a small multiple
-    of 2^-_GUARD_BITS of an integer.
+    of 2^-_GUARD_BITS of an integer.  Each top is below 3^k, so whether it
+    omits 2 is a lookup in the set of the 2^k values below 3^k that omit 2.
     """
     if X < 2:
         raise ValueError("X must be >= 2")
@@ -87,6 +88,8 @@ def theorem11_census(
     k, limit = 1, 3
     while limit < q_lower:
         k, limit = k + 1, limit * 3
+    # the 2^k values below 3^k that omit 2: t < 2^k read in base 3
+    free = frozenset(int(f"{t:b}", 3) for t in range(2**k))
 
     guard = _GUARD_BITS + X.bit_length()
     exact_until = max(lam.exponent, 1)
@@ -116,7 +119,7 @@ def theorem11_census(
                 top //= 3
             lo = (v << guard) // scale
             hi = lo + 1
-        if int_omits_digit(top, 2):
+        if top in free:
             census += 1
             current_block += 1
     per_block_max = max(per_block_max, current_block)

@@ -138,9 +138,12 @@ def _oracle_sets():
     # multipliers = 1 (mod 3) keep digit 1 alive, so the machines grow
     rng = random.Random(10)
     triples = [[3 * rng.randrange(1, 700) + 1 for _ in range(3)] for _ in range(30)]
+    # {1, 2^k} for even k reaches machines far larger than M <= 3000 gives
+    powers = [[1, 2**k] for k in range(2, 17, 2)]
     return (
         [[1, m] for m in range(1, 3001)]
         + [[1, 4, 256], [1, 7, 49], [2, 5, 7], [1, 9997]]
+        + powers
         + triples
     )
 
@@ -152,7 +155,7 @@ def test_builder_matches_parent_builder():
 
 
 def test_state_limit_guard_trips_at_the_parent_count():
-    for mults in ([1, 7], [1, 4, 256], [1, 9997], [1, 493, 511]):
+    for mults in ([1, 7], [1, 4, 256], [1, 9997], [1, 493, 511], [1, 2**12]):
         n = build_automaton(mults).num_states
         assert build_automaton(mults, state_limit=n).num_states == n
         for limit in (1, n // 2, n - 1):

@@ -231,6 +231,8 @@ def test_computation_errors_exit_two(capsys):
         ["dimension", "--multipliers", "a"],
         ["dimension", "--multipliers", "1,7", "--prefix-depth", "0"],
         ["dimension", "--multipliers", "1,7", "--prefix-depth", "-3"],
+        ["dimension", "--multipliers", "1", "--prefix-depth", "10001"],
+        ["dimension", "--multipliers", "1", "--prefix-depth", "14300"],
         ["export-automaton", "--multipliers", "1,-2"],
         ["search-n", "--multipliers", "7", "--max-N", "0"],
         ["scan", "--max-M", "0"],
@@ -266,6 +268,15 @@ def test_dimension_output_is_strict_json():
         assert code == 0
         res = _strict_json(text)["results"]
         assert len(res["prefix_counts"]) == int(depth)
+
+
+def test_prefix_depth_at_its_bound_prints_every_count():
+    # the deepest table prints 2^10000 (3011 digits) for the full machine
+    text, code = dispatch(["dimension", "--multipliers", "1", "--prefix-depth", "10000"])
+    assert code == 0
+    counts = _strict_json(text)["results"]["prefix_counts"]
+    assert len(counts) == 10000
+    assert counts[-1] == str(2**10000)
 
 
 @pytest.mark.parametrize("offset", ["-1/3", "-0.25", "-2"])
@@ -423,7 +434,7 @@ PINNED_STDOUT = {
     ("three-gap", "--N", "123456789", "--offset", "3/97"):
         "f138cc549fc94d74227084b53a4a349ca371e1be342a597c0d9bcd033bbc568f",
     ("dimension", "--multipliers", "1,7"):
-        "a813676c42b5e3576df6068e2e2d90aaeddc0f7f78c2a7ea0a67c4e7420758e8",
+        "50959a4343bdf0ad1352f0ad9543cd6e622b23e377dcdf60e1fa6a44dce27060",
     ("scan", "--max-M", "300"):
         "f28d0758128d468254040c01b3d06ff468921451e1798a68a829301030151fee",
 }
