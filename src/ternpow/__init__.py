@@ -2,8 +2,8 @@
 
 Four layers:
 
-- ternary: base-3 digits of plain integers, dyadic rationals, and
-  digit-omission tests, counting and stepping.
+- ternary: base-3 digits of plain integers, dyadic rationals,
+  digit-omission tests, and the binary coding of digit-2-free integers.
 - sieve: residue sieves and exact enumeration of exponents n for which
   floor(lam * 2^n) has a digit-2-free ternary expansion.
 - orbit: the continued fraction of log3(2), three-distance arc spectra,
@@ -26,14 +26,12 @@ from .errors import (
 )
 from .ternary import (
     DyadicRational,
-    count_omitting_upto,
-    digits_to_int,
+    count_free_upto,
     floor_times_pow2,
     int_omits_digit,
     int_to_digits,
     leading_digits,
-    next_omitting,
-    prev_omitting,
+    nth_free,
 )
 from .sieve import (
     PadicApprox,
@@ -44,7 +42,6 @@ from .sieve import (
     enumerate_digit2free_powers,
     multiplicative_order_pow2,
     narkiewicz_check,
-    residue_survivors,
     sieve_report,
     survivor_chain,
     survivors_N,
@@ -101,11 +98,9 @@ __all__ = [
     "DyadicRational",
     "leading_digits",
     "int_to_digits",
-    "digits_to_int",
     "int_omits_digit",
-    "next_omitting",
-    "prev_omitting",
-    "count_omitting_upto",
+    "nth_free",
+    "count_free_upto",
     "floor_times_pow2",
     # sieve
     "PadicApprox",
@@ -113,7 +108,6 @@ __all__ = [
     "TildeCount",
     "multiplicative_order_pow2",
     "survivor_chain",
-    "residue_survivors",
     "enumerate_digit2free_powers",
     "sieve_report",
     "narkiewicz_check",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..precision import math_floor_log3
-from ..ternary import int_omits_digit, int_to_digits
+from ..ternary import count_free_upto, int_omits_digit, int_to_digits, nth_free
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
@@ -161,21 +161,6 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
     )
 
 
-def _free_integers_ascending(n_max: int):
-    """Positive digit-2-free integers in increasing order.
-
-    The t-th such integer reads the binary digits of t as ternary digits, so
-    an ordinary counter enumerates them without any digit bookkeeping.
-    """
-    t = 1
-    while True:
-        n = int(bin(t)[2:], 3)
-        if n > n_max:
-            return
-        yield n
-        t += 1
-
-
 def theorem17_search(ms, n_max: int) -> WitnessResult:
     """Bounded ascending search for the smallest witness N <= n_max.
 
@@ -187,7 +172,8 @@ def theorem17_search(ms, n_max: int) -> WitnessResult:
     if not isinstance(ms, MultiplierSet):
         ms = MultiplierSet.of(ms)
     mults = ms.normalized().multipliers
-    for n in _free_integers_ascending(n_max):
+    for t in range(1, count_free_upto(n_max)):
+        n = nth_free(t)
         if all(int_omits_digit(n * m, 2) for m in mults):
             return WitnessResult(
                 multipliers=mults,

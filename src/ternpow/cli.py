@@ -134,6 +134,21 @@ def _parse_dyadic(text: str) -> DyadicRational:
         ) from None
 
 
+def _parse_digit_policy(text: str) -> str:
+    """argparse type for --digit-policy: min, max, random or random:<int>."""
+    name, colon, seed = text.partition(":")
+    try:
+        if name == "random" and colon:
+            int(seed)
+        elif text not in ("min", "max", "random"):
+            raise ValueError(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"digit policy must be min, max, random or random:<int>, got {text!r}"
+        ) from None
+    return text
+
+
 def _parse_multipliers(text: str) -> MultiplierSet:
     """argparse type for --multipliers: comma-separated positive integers."""
     try:
@@ -275,6 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--levels", type=int, choices=(1, 2), required=True)
     p.add_argument(
         "--digit-policy",
+        type=_parse_digit_policy,
         default="min",
         help="min | max | random:<seed> (bare 'random' uses --seed)",
     )

@@ -32,11 +32,10 @@ from ..precision import (
 )
 from ..ternary import (
     DyadicRational,
-    count_omitting_upto,
+    count_free_upto,
     int_omits_digit,
     leading_digits,
-    next_omitting,
-    prev_omitting,
+    nth_free,
 )
 from .cf import CFExpansion, cf_log3_2
 
@@ -241,30 +240,29 @@ class ConstructionState:
                 raise ValueError("s_k must accumulate the r_i")
 
 
+def _free_ranks(lo: int, hi: int) -> tuple[int, int]:
+    """(below, total) for the digit-1-free integers, the doubles 2 * nth_free(t):
+    below of them are less than lo and total lie in [lo, hi]."""
+    below = count_free_upto((lo - 1) // 2)
+    return below, count_free_upto(hi // 2) - below
+
+
 def _pick_low_window_value(
     lo: int, hi: int, policy: str, rng: random.Random | None
 ) -> int:
-    """A digit-1-free integer in [lo, hi] selected by policy."""
+    """A digit-1-free integer in [lo, hi] selected by policy, by its rank."""
+    below, total = _free_ranks(lo, hi)
     if policy == "min":
-        w = next_omitting(lo, 1)
+        t = below
     elif policy == "max":
-        w = prev_omitting(hi, 1)
+        t = below + total - 1
     elif policy == "random":
         if rng is None:
             raise ValueError("random policy needs a seeded rng")
-        below = count_omitting_upto(lo - 1, 1)
-        total = count_omitting_upto(hi, 1) - below
-        idx = rng.randrange(total)
-        a, b = lo, hi
-        while a < b:
-            mid = (a + b) // 2
-            if count_omitting_upto(mid, 1) - below >= idx + 1:
-                b = mid
-            else:
-                a = mid + 1
-        w = a
+        t = below + rng.randrange(total)
     else:
         raise ValueError(f"unknown digit policy: {policy!r}")
+    w = 2 * nth_free(t)
     if not (lo <= w <= hi):
         raise ValueError("(P2) violated: no digit-1-free value in the window")
     return w
@@ -364,8 +362,7 @@ def construct_theorem12(
         dmax = 3**r - 3 ** (r - k)
         low_window_ok = 0 <= E <= 3 ** (r - k)
 
-        below = count_omitting_upto(E - 1, 1)
-        admissible = count_omitting_upto(E + dmax, 1) - below
+        admissible = _free_ranks(E, E + dmax)[1]
         guaranteed = 2**r - 2 ** (r - k)
         if admissible <= 0:
             raise ValueError("(P2) violated: empty admissible digit window")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..errors import InsufficientDigits
 from ..precision import DEFAULT_PRECISION_CAP, power_le
 from ..sieve import count_N
-from ..ternary import DyadicRational, floor_times_pow2
+from ..ternary import DyadicRational, floor_times_pow2, nth_free
 from .cf import cf_log3_2
 
 # guard bits of the census window beyond log2 X; see theorem11_census
@@ -88,8 +88,8 @@ def theorem11_census(
     k, limit = 1, 3
     while limit < q_lower:
         k, limit = k + 1, limit * 3
-    # the 2^k values below 3^k that omit 2: t < 2^k read in base 3
-    free = frozenset(int(f"{t:b}", 3) for t in range(2**k))
+    # the 2^k values below 3^k that omit 2
+    free = frozenset(nth_free(t) for t in range(2**k))
 
     guard = _GUARD_BITS + X.bit_length()
     exact_until = max(lam.exponent, 1)

@@ -104,11 +104,6 @@ def survivor_chain(k: int, multiplier: int = 1) -> list[frozenset[int]]:
     return chain
 
 
-def residue_survivors(k: int, multiplier: int = 1) -> frozenset[int]:
-    """Residues n mod 2*3^(k-1) whose k low ternary digits of A*2^n omit 2."""
-    return survivor_chain(k, multiplier)[-1]
-
-
 def _omits_two_above(A: int, m: int, known: int) -> bool:
     """Exact check that A * 2^m omits digit 2, given its `known` low digits do.
 

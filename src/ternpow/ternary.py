@@ -4,15 +4,19 @@ A ternary number is a Python ``int``.  ``int_to_digits`` lists its digits
 least-significant first (zero has the empty vector and omits every digit);
 ``leading_digits`` renders the top digits most-significant first over the
 alphabet {0,1,2} with no separators, e.g. 256 -> "100111".  Dyadic
-rationals carry the spacings lambda, and the omission walks step and count
-through the integers whose expansion avoids one digit.
+rationals carry the spacings lambda.
+
+The integers free of the digit 2 are the binary numbers read in base 3:
+``nth_free(t)`` reads the binary digits of t as ternary digits, an
+increasing bijection from the naturals onto those integers, and
+``count_free_upto`` is its rank.  Doubling them gives the integers free of
+the digit 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InsufficientDigits
 from .precision import math_floor_log3
@@ -31,13 +35,6 @@ def int_to_digits(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def digits_to_int(digits: Iterable[int]) -> int:
-    value = 0
-    for d in reversed(tuple(digits)):
-        value = value * 3 + d
-    return value
-
-
 def int_omits_digit(n: int, digit: int) -> bool:
     """Whether the ternary expansion of n >= 0 omits ``digit``.
 
@@ -53,6 +50,27 @@ def int_omits_digit(n: int, digit: int) -> bool:
         if d == digit:
             return False
     return True
+
+
+def nth_free(t: int) -> int:
+    """The t-th (from 0) integer whose ternary digits all lie in {0, 1}."""
+    return int(f"{t:b}", 3)
+
+
+def count_free_upto(x: int) -> int:
+    """Number of integers in [0, x] whose ternary expansion omits 2.
+
+    The largest such integer <= x keeps the digits of x above its first 2
+    and has 1 there and everywhere below; its rank, read in binary, plus
+    one for zero is the count.
+    """
+    if x < 0:
+        return 0
+    msf = "".join(str(d) for d in reversed(int_to_digits(x)))
+    head, two, _ = msf.partition("2")
+    if two:
+        msf = head.ljust(len(msf), "1")
+    return int(msf or "0", 2) + 1
 
 
 def leading_digits(n: int, k: int) -> str:
@@ -130,92 +148,3 @@ def floor_times_pow2(lam: DyadicRational, n: int) -> int:
     """floor(lam * 2^n) as a plain integer (pure shifts, no rounding)."""
     t = n - lam.exponent
     return lam.numerator << t if t >= 0 else lam.numerator >> (-t)
-
-
-def next_omitting(x: int, forbidden: int) -> int:
-    """Smallest y >= x whose ternary expansion omits ``forbidden``.
-
-    Walks the digits from the most-significant end; at the first forbidden
-    digit the number must grow there or to the left, so bump the lowest
-    prefix position that can still increase and fill the rest with the
-    smallest allowed digit.
-    """
-    if forbidden not in _VALID:
-        raise ValueError(f"not a ternary digit: {forbidden!r}")
-    if x < 0:
-        raise ValueError("negative value")
-    low = 0 if forbidden != 0 else 1
-    ds = list(int_to_digits(x))[::-1]  # most-significant first
-    first = next((i for i, d in enumerate(ds) if d == forbidden), None)
-    if first is None:
-        return x
-    i = first
-    while True:
-        nxt = ds[i] + 1
-        if nxt == forbidden:
-            nxt += 1
-        if nxt <= 2:
-            out = ds[:i] + [nxt] + [low] * (len(ds) - i - 1)
-            return digits_to_int(reversed(out))
-        if i == 0:
-            lead = 1 if forbidden != 1 else 2
-            return digits_to_int(reversed([lead] + [low] * len(ds)))
-        i -= 1
-
-
-def prev_omitting(x: int, forbidden: int) -> int:
-    """Largest 0 <= y <= x whose ternary expansion omits ``forbidden``.
-
-    Mirror of next_omitting: at the first forbidden digit the number must
-    shrink, so lower the deepest prefix position that can still decrease
-    and fill the rest with the largest allowed digit.  Zero omits every
-    digit, so a result always exists.
-    """
-    if forbidden not in _VALID:
-        raise ValueError(f"not a ternary digit: {forbidden!r}")
-    if x < 0:
-        raise ValueError("negative value")
-    high = 2 if forbidden != 2 else 1
-    ds = list(int_to_digits(x))[::-1]
-    first = next((i for i, d in enumerate(ds) if d == forbidden), None)
-    if first is None:
-        return x
-    i = first
-    while True:
-        prv = ds[i] - 1
-        if prv == forbidden:
-            prv -= 1
-        if prv >= 0:
-            out = ds[:i] + [prv] + [high] * (len(ds) - i - 1)
-            return digits_to_int(reversed(out))
-        if i == 0:
-            # every admissible value needs fewer digits
-            return digits_to_int([high] * (len(ds) - 1))
-        i -= 1
-
-
-def count_omitting_upto(x: int, forbidden: int) -> int:
-    """Number of integers in [0, x] whose ternary expansion omits ``forbidden``.
-
-    Digit walk from the most-significant end: at each position, count the
-    completions below the current digit, then continue only while the prefix
-    itself stays admissible.  Zero's expansion is empty and always counts.
-    """
-    if forbidden not in _VALID:
-        raise ValueError(f"not a ternary digit: {forbidden!r}")
-    if x < 0:
-        return 0
-    ds = list(int_to_digits(x))[::-1]
-    n = len(ds)
-    if n == 0:
-        return 1
-    allowed = [d for d in _VALID if d != forbidden]
-    lead = [d for d in allowed if d != 0]
-    # 1 for zero, plus all shorter admissible expansions
-    total = 1 + sum(len(lead) * len(allowed) ** (length - 1) for length in range(1, n))
-    for i, d in enumerate(ds):
-        pool = lead if i == 0 else allowed
-        total += sum(1 for a in pool if a < d) * len(allowed) ** (n - 1 - i)
-        if d == forbidden or (i == 0 and d == 0):
-            return total
-    return total + 1

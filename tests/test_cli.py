@@ -240,6 +240,9 @@ def test_computation_errors_exit_two(capsys):
         ["--threads", "0", "cf", "--depth", "3"],
         ["--state-limit", "0", "cf", "--depth", "3"],
         ["--precision-cap", "64", "cf", "--depth", "3"],
+        ["construct", "--levels", "1", "--digit-policy", "smallest"],
+        ["construct", "--levels", "1", "--digit-policy", "random:abc"],
+        ["construct", "--levels", "1", "--digit-policy", "random:"],
     ],
 )
 def test_invalid_input_is_usage_error(argv, capsys):
@@ -431,12 +434,21 @@ PINNED_STDOUT = {
         "79ffa994ab6b0e2e81dd52ed50f22220a0a9f90eb0e45bcdb50781605e911321",
     ("construct", "--levels", "2", "--digit-policy", "random:5"):
         "47c5ed3e44d317e74b87fc61647b46dbf6328bd13934501b5fa5c49ef7d27373",
+    ("construct", "--levels", "1", "--digit-policy", "min"):
+        "bc699942691f222832d2876837494386ab124396de7d4bf2e3c76c538a894bb0",
+    ("construct", "--levels", "1", "--digit-policy", "max"):
+        "6efdeb1865b359576d29c60d5fbb6e028a01cca02805e679e5e7c75a1c87f30b",
     ("three-gap", "--N", "123456789", "--offset", "3/97"):
         "f138cc549fc94d74227084b53a4a349ca371e1be342a597c0d9bcd033bbc568f",
     ("dimension", "--multipliers", "1,7"):
         "50959a4343bdf0ad1352f0ad9543cd6e622b23e377dcdf60e1fa6a44dce27060",
     ("scan", "--max-M", "300"):
         "f28d0758128d468254040c01b3d06ff468921451e1798a68a829301030151fee",
+    ("search-n", "--multipliers", "1,4,256", "--max-N", "10"):
+        "6dabf9c54eba63a2feaa3c377a59f05e52710a548175f40bde4e1d5934346ea5",
+    # no witness below the bound: the whole enumeration runs
+    ("search-n", "--multipliers", "4,7", "--max-N", "100000"):
+        "a4e5712e9242fb1d568fbae8a589a726fcbad83a631be7569d1bc22cf9e5f94f",
 }
 
 

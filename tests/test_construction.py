@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,16 @@ from ternpow import (
     construct_theorem12,
     find_lk,
     int_omits_digit,
+    int_to_digits,
     leading_digits,
     theorem11_census,
 )
 from ternpow.orbit.construction import (
     _floor_multiple_alpha0,
     _frac_below_threshold,
+    _free_ranks,
     _low_window_in_bounds_certified,
+    _pick_low_window_value,
 )
 from ternpow.precision import MIN_PRECISION, certified_floor, certified_less_than
 
@@ -70,6 +74,132 @@ def _iv_low_window(M_prev: int, l: int, r: int, k: int) -> bool:
         Fraction(1),
         start=max(MIN_PRECISION, l.bit_length() + M_prev.bit_length() + 64),
     )
+
+
+def _msf(x: int) -> str:
+    return "".join(str(d) for d in reversed(int_to_digits(x)))
+
+
+def _next_omitting_1(x: int) -> int:
+    """Least y >= x free of the ternary digit 1, by the digit walk the rank
+    arithmetic replaced: for digit 1 it raises the first 1 to 2 and clears
+    every digit below."""
+    s = _msf(x)
+    i = s.find("1")
+    return x if i < 0 else int(s[:i] + "2" + "0" * (len(s) - i - 1), 3)
+
+
+def _prev_omitting_1(x: int) -> int:
+    """Greatest y <= x free of the digit 1: lower the first 1 to 0 and fill
+    every digit below with 2."""
+    s = _msf(x)
+    i = s.find("1")
+    return x if i < 0 else int(s[:i] + "0" + "2" * (len(s) - i - 1), 3)
+
+
+def _count_omitting_upto_1(x: int) -> int:
+    """Integers in [0, x] free of the digit 1, by a digit walk from the top:
+    count the completions below each digit, stop at the first 1."""
+    if x < 0:
+        return 0
+    s = _msf(x)
+    n = len(s)
+    if n == 0:
+        return 1
+    # zero, then every shorter expansion: a leading 2 and n-1 digits in {0, 2}
+    total = 1 + sum(2 ** (length - 1) for length in range(1, n))
+    for i, c in enumerate(s):
+        d = int(c)
+        pool = (2,) if i == 0 else (0, 2)
+        total += sum(1 for a in pool if a < d) * 2 ** (n - 1 - i)
+        if d == 1:
+            return total
+    return total + 1
+
+
+def _walker_pick(lo: int, hi: int, policy: str, rng: random.Random | None) -> int:
+    """The window pick before rank arithmetic: step for min and max, and
+    bisect the count for the randrange index of the random policy."""
+    if policy == "min":
+        w = _next_omitting_1(lo)
+    elif policy == "max":
+        w = _prev_omitting_1(hi)
+    else:
+        below = _count_omitting_upto_1(lo - 1)
+        total = _count_omitting_upto_1(hi) - below
+        idx = rng.randrange(total)
+        a, b = lo, hi
+        while a < b:
+            mid = (a + b) // 2
+            if _count_omitting_upto_1(mid) - below >= idx + 1:
+                b = mid
+            else:
+                a = mid + 1
+        w = a
+    if not (lo <= w <= hi):
+        raise ValueError("(P2) violated: no digit-1-free value in the window")
+    return w
+
+
+def _outcome(pick, lo, hi, policy, seed):
+    """(value or error text, next draw of the rng) for one pick."""
+    rng = random.Random(seed)
+    try:
+        got = pick(lo, hi, policy, rng)
+    except ValueError as exc:
+        got = f"ValueError: {exc}"
+    return got, rng.random()
+
+
+def _level_one_window() -> tuple[int, int]:
+    rep = construct_theorem12(1).reports[0]
+    return rep.low_window_start, rep.low_window_start + rep.digit_max
+
+
+def test_walker_oracles_match_brute():
+    free = [z for z in range(2 * 3**7 + 1) if int_omits_digit(z, 1)]
+    for x in range(-1, 3**7 + 1):
+        assert _count_omitting_upto_1(x) == sum(1 for z in free if z <= x), x
+        if x >= 0:
+            assert _next_omitting_1(x) == min(z for z in free if z >= x), x
+            assert _prev_omitting_1(x) == max(z for z in free if z <= x), x
+
+
+def test_window_pick_matches_walker_oracle():
+    gen = random.Random(20240517)
+    # lo = 0, empty windows ([1, 1], [3, 5], [10, 17]) and one-value windows
+    windows = [(0, 0), (0, 1), (0, 26), (1, 1), (3, 5), (10, 17), (18, 18)]
+    while len(windows) < 200:
+        width = gen.randint(1, 30)
+        lo = gen.randrange(3**width)
+        windows.append((lo, lo + gen.randrange(3 ** gen.randint(0, width))))
+    windows.append(_level_one_window())
+    empty = 0
+    for i, (lo, hi) in enumerate(windows):
+        total = _count_omitting_upto_1(hi) - _count_omitting_upto_1(lo - 1)
+        assert _free_ranks(lo, hi)[1] == total, (lo, hi)
+        empty += total == 0
+        for policy in ("min", "max", "random"):
+            got = _outcome(_pick_low_window_value, lo, hi, policy, i)
+            assert got == _outcome(_walker_pick, lo, hi, policy, i), (lo, hi, policy)
+            if total:
+                assert int_omits_digit(got[0], 1)
+            else:
+                assert got[0].startswith("ValueError")
+    assert empty >= 3
+
+
+def test_level_one_picks_match_walker_oracle():
+    lo, hi = _level_one_window()
+    rep = construct_theorem12(1).reports[0]
+    assert rep.admissible_count == _count_omitting_upto_1(hi) - _count_omitting_upto_1(
+        lo - 1
+    )
+    for policy in ("min", "max", "random:1", "random:77", "random:123456"):
+        name, _, seed = policy.partition(":")
+        want = _walker_pick(lo, hi, name, random.Random(int(seed or 0)))
+        got = construct_theorem12(1, digit_policy=policy).reports[0].digit
+        assert got == want - lo, policy
 
 
 def test_find_lk_level_one():

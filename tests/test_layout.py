@@ -14,6 +14,7 @@ import ternpow.orbit
 import ternpow.orbit.construction
 import ternpow.precision
 import ternpow.sieve
+import ternpow.ternary
 
 PACKAGE = Path(ternpow.precision.__file__).parent
 
@@ -136,6 +137,14 @@ def test_replaced_paths_are_gone():
     assert "scan_limit" not in inspect.signature(construction.find_lk).parameters
     build = inspect.signature(construction.construct_theorem12).parameters
     assert not {"scan_limit", "bit_limit"} & set(build)
+    # digit-2-free integers have one coding: nth_free and count_free_upto
+    gone = ("next_omitting", "prev_omitting", "count_omitting_upto", "digits_to_int")
+    for name in gone:
+        assert not hasattr(ternpow.ternary, name), name
+        assert not hasattr(ternpow, name), name
+    assert not hasattr(ternpow.sieve, "residue_survivors")
+    assert not hasattr(ternpow, "residue_survivors")
+    assert not hasattr(ternpow.cantor.search, "_free_integers_ascending")
 
 
 def test_cli_serializes_without_asdict():

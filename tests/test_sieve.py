@@ -23,7 +23,6 @@ from ternpow import (
     int_omits_digit,
     multiplicative_order_pow2,
     narkiewicz_check,
-    residue_survivors,
     sieve_report,
     survivor_chain,
     survivors_N,
@@ -59,7 +58,7 @@ def _residue_scan_powers(X: int, depth: int) -> list[int]:
     """Fixed-depth oracle: every exponent in a depth-k survivor class is
     checked in full."""
     modulus = multiplicative_order_pow2(depth)
-    ordered = sorted(residue_survivors(depth))
+    ordered = sorted(survivor_chain(depth)[-1])
     out = []
     for base in range(0, X + 1, modulus):
         for r in ordered:
@@ -85,7 +84,7 @@ def _scan_lambda_survivors(lam: DyadicRational, X: int) -> tuple[int, ...]:
     while A_odd % 2 == 0:
         A_odd //= 2
         e += 1
-    survivors = residue_survivors(12, A_odd)
+    survivors = survivor_chain(12, A_odd)[-1]
     modulus = multiplicative_order_pow2(12)
     for n in range(s + 1, X + 1):
         m = n - s + e
@@ -109,7 +108,7 @@ def test_multiplicative_order_matches_brute():
 
 def test_survivor_counts_are_powers_of_two():
     for k in range(1, 13):
-        assert len(residue_survivors(k)) == 2 ** (k - 1)
+        assert len(survivor_chain(k)[-1]) == 2 ** (k - 1)
 
 
 def test_survivors_match_brute_digits():
@@ -118,7 +117,7 @@ def test_survivors_match_brute_digits():
         brute = frozenset(
             n for n in range(modulus) if int_omits_digit(pow(2, n, 3**k), 2)
         )
-        assert residue_survivors(k) == brute
+        assert survivor_chain(k)[-1] == brute
 
 
 def test_survivor_chain_refines():
@@ -138,7 +137,7 @@ def test_survivor_chain_other_multipliers(a):
         for n in range(modulus)
         if int_omits_digit(a * pow(2, n, 3**k) % 3**k, 2)
     )
-    assert residue_survivors(k, a) == brute
+    assert survivor_chain(k, a)[-1] == brute
 
 
 def test_enumerate_powers_known_survivors():
@@ -371,7 +370,7 @@ def test_surrogate_count_matches_survivor_chain():
         if residue == 0:
             want = X
         else:
-            want = _count_in_range(residue_survivors(tc.k, residue), modulus, 1, X)
+            want = _count_in_range(survivor_chain(tc.k, residue)[-1], modulus, 1, X)
         # bound_ok reads only count and X; the brute-count test checks it
         assert tc.count == want, (value, X)
 

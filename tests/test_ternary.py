@@ -1,4 +1,4 @@
-"""Base-3 digits of integers, dyadic rationals, and digit-omission walks."""
+"""Base-3 digits of integers, dyadic rationals, and the digit-2-free coding."""
 
 from __future__ import annotations
 
@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from ternpow import (
     DyadicRational,
     InsufficientDigits,
-    count_omitting_upto,
-    digits_to_int,
+    count_free_upto,
     floor_times_pow2,
     int_omits_digit,
     int_to_digits,
     leading_digits,
-    next_omitting,
-    prev_omitting,
+    nth_free,
 )
 
 nats = st.integers(min_value=0, max_value=10**24)
@@ -29,9 +27,14 @@ def _msf(n):
     return "".join(str(d) for d in reversed(int_to_digits(n)))
 
 
+def _from_digits(digits):
+    """The integer with the given ternary digits, least-significant first."""
+    return sum(d * 3**i for i, d in enumerate(digits))
+
+
 @given(nats)
 def test_digit_vector_roundtrip(n):
-    assert digits_to_int(int_to_digits(n)) == n
+    assert _from_digits(int_to_digits(n)) == n
     assert all(d in (0, 1, 2) for d in int_to_digits(n))
     if n:
         assert int_to_digits(n)[-1] != 0  # canonical: no leading zero
@@ -61,7 +64,6 @@ def test_constructor_rejects_junk():
 def test_digit_accessor_and_zero():
     assert int_to_digits(256) == (1, 1, 1, 0, 0, 1)
     assert int_to_digits(0) == ()
-    assert digits_to_int(()) == 0
     with pytest.raises(InsufficientDigits):
         leading_digits(0, 1)  # zero has no digits
 
@@ -142,42 +144,65 @@ def test_floor_times_pow2_exact(num, s, n):
     assert floor_times_pow2(lam, n) == expected
 
 
-FORBIDDEN = st.sampled_from([0, 1, 2])
+def _brute_free(x):
+    return [z for z in range(x + 1) if int_omits_digit(z, 2)]
 
 
-@given(st.integers(min_value=0, max_value=3**8), FORBIDDEN)
-def test_next_omitting_is_minimal(x, d):
-    y = next_omitting(x, d)
-    assert y >= x and int_omits_digit(y, d)
-    assert all(not int_omits_digit(z, d) for z in range(x, y))
+def _next_free(x):
+    """Least digit-2-free y >= x, by rank: count below x, then that index."""
+    return nth_free(count_free_upto(x - 1))
 
 
-@given(st.integers(min_value=0, max_value=3**8), FORBIDDEN)
-def test_prev_omitting_is_maximal(x, d):
-    y = prev_omitting(x, d)
-    assert 0 <= y <= x and int_omits_digit(y, d)
-    assert all(not int_omits_digit(z, d) for z in range(y + 1, x + 1))
+def _prev_free(x):
+    """Greatest digit-2-free y <= x, by rank."""
+    return nth_free(count_free_upto(x) - 1)
 
 
-@given(st.integers(min_value=-1, max_value=3**8), FORBIDDEN)
-def test_count_omitting_matches_brute(x, d):
-    assert count_omitting_upto(x, d) == sum(
-        1 for z in range(0, x + 1) if int_omits_digit(z, d)
-    )
+def test_nth_free_is_increasing_and_onto():
+    free = _brute_free(3**8)
+    assert [nth_free(t) for t in range(len(free))] == free
+    assert nth_free(len(free)) > 3**8
 
 
-@given(st.integers(min_value=0, max_value=10**18), FORBIDDEN)
-def test_count_omitting_steps_by_membership(x, d):
-    delta = count_omitting_upto(x, d) - count_omitting_upto(x - 1, d)
-    assert delta == (1 if int_omits_digit(x, d) else 0)
+@given(st.integers(min_value=0, max_value=2**60))
+def test_count_free_inverts_nth_free(t):
+    n = nth_free(t)
+    assert int_omits_digit(n, 2)
+    assert nth_free(t + 1) > n
+    assert count_free_upto(n) == t + 1
 
 
-@given(st.integers(min_value=0, max_value=10**15), FORBIDDEN)
-def test_next_prev_large_values_are_members(x, d):
-    y = next_omitting(x, d)
-    z = prev_omitting(x, d)
-    assert y >= x and int_omits_digit(y, d)
-    assert z <= x and int_omits_digit(z, d)
+@given(st.integers(min_value=0, max_value=3**8))
+def test_next_omitting_is_minimal(x):
+    y = _next_free(x)
+    assert y >= x and int_omits_digit(y, 2)
+    assert all(not int_omits_digit(z, 2) for z in range(x, y))
+
+
+@given(st.integers(min_value=0, max_value=3**8))
+def test_prev_omitting_is_maximal(x):
+    y = _prev_free(x)
+    assert 0 <= y <= x and int_omits_digit(y, 2)
+    assert all(not int_omits_digit(z, 2) for z in range(y + 1, x + 1))
+
+
+@given(st.integers(min_value=-1, max_value=3**8))
+def test_count_omitting_matches_brute(x):
+    assert count_free_upto(x) == len(_brute_free(x))
+
+
+@given(st.integers(min_value=0, max_value=10**18))
+def test_count_omitting_steps_by_membership(x):
+    delta = count_free_upto(x) - count_free_upto(x - 1)
+    assert delta == (1 if int_omits_digit(x, 2) else 0)
+
+
+@given(st.integers(min_value=0, max_value=10**15))
+def test_next_prev_large_values_are_members(x):
+    y = _next_free(x)
+    z = _prev_free(x)
+    assert y >= x and int_omits_digit(y, 2)
+    assert z <= x and int_omits_digit(z, 2)
     # no admissible value sits strictly between x and its neighbors
-    assert count_omitting_upto(y - 1, d) == count_omitting_upto(x - 1, d)
-    assert count_omitting_upto(x, d) == count_omitting_upto(z, d)
+    assert count_free_upto(y - 1) == count_free_upto(x - 1)
+    assert count_free_upto(x) == count_free_upto(z)
