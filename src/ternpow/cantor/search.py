@@ -7,12 +7,17 @@ digit-2-free integers (the carries are exactly the unwritten high digits of
 the products).  The bounded ascending search is kept alongside as an
 independent oracle and as the contract-level entry point.
 
-The class scan costs each 3-free M one machine build, one Tarjan pass and
-one witness search.  Positive dimension is read from the untrimmed machine:
-trimming only removes states off every cycle, so it leaves each component
-that contains a cycle, and each of its inner edges, as it was, and a state
-keeping both out-edges in its own component is on a cycle.  The growth test
-therefore gives the same answer before and after trimming.
+The class scan builds no machine for most multipliers.  It steps the one
+carry of M as a plain integer: a single breadth-first search gives every
+distance from carry 0, the witness is rebuilt from those distances by
+arithmetic on the carries, and positive dimension reads from whether carry
+1 is reachable (see _classify_normalized).  Only when it is not, for some
+M = 1 (mod 3), is the machine built and its growth test read from the
+untrimmed machine: trimming only removes states off every cycle, so it
+leaves each component that contains a cycle, and each of its inner edges,
+as it was, and a state keeping both out-edges in its own component is on a
+cycle.  The growth test therefore gives the same answer before and after
+trimming.
 """
 
 from __future__ import annotations
@@ -28,12 +33,16 @@ from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
     MultiplierSet,
+    _too_many,
     build_automaton,
 )
 from .dimension import has_growth
 
 LOG3_2 = math.log(2) / math.log(3)
 DEFAULT_SCAN_LIMIT = 3000
+# the bounded search tests about N^0.63 candidates below N: 10^10 takes
+# about 13 s
+MAX_SEARCH_N = 10**10
 
 
 def _bound_denominator(n: int, m_max: int) -> int:
@@ -76,15 +85,36 @@ def _is_flush_state(carries: tuple[int, ...]) -> bool:
     return all(int_omits_digit(c, 2) for c in carries)
 
 
+def _distances(trans) -> tuple[list[int], list[int]]:
+    """Breadth-first distances from state 0 (-1 where unreachable) and the
+    states in the order the search reached them.
+
+    The order is first-in first-out, so distances never decrease along it,
+    and the states at distance <= j form a prefix of it.
+    """
+    dist = [-1] * len(trans)
+    dist[0] = 0
+    order = [0]
+    for u in order:
+        du = dist[u] + 1
+        for t in trans[u]:
+            if t is not None and dist[t] < 0:
+                dist[t] = du
+                order.append(t)
+    return dist, order
+
+
 def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResult:
     """Exact decision plus the minimal witness when one exists.
 
     Minimality: breadth-first distances give the least digit count L, and
     within length L the digits are chosen greedily from the most significant
-    end (each 0 saves more than all lower positions combined), with
-    feasibility checked against the exact forward-reachable layer sets.
-    Flushness is tested lazily, once per state, and only on the targets of
-    1-edges out of states the search reaches.
+    end (each 0 saves more than all lower positions combined).  The all-zero
+    state loops on digit 0, so a walk of length dist[u] to u extends to any
+    longer length by leading zeros: the states where position j of a
+    witness may sit are exactly those with dist[u] <= j.  Flushness is
+    tested lazily, once per state, and only on the targets of 1-edges out of
+    states up to the least witness layer.
     """
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
     trans, states = a.transitions, a.states
@@ -98,49 +128,41 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
             ok = flush[t] = _is_flush_state(states[t])
         return ok
 
-    # layered BFS over first arrivals: the least L such that a state reached
-    # in L - 1 steps moves to a flush state on the leading digit 1
-    current = [0]
-    seen = {0}
-    best_len = 1
-    while not any(is_flush(trans[u][1]) for u in current):
-        nxt = []
-        for u in current:
-            for t in trans[u]:
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if not nxt:
-            return WitnessResult(
-                multipliers=a.multipliers,
-                found=False,
-                n=None,
-                digits=None,
-                bound_denominator=None,
-                exhausted=True,
-            )
-        current = nxt
-        best_len += 1
+    # the least L such that a state at distance L - 1 moves to a flush
+    # state on the leading digit 1; top holds every such state
+    dist, order = _distances(trans)
+    top: list[int] = []
+    for u in order:
+        if top and dist[u] > dist[top[0]]:
+            break
+        if is_flush(trans[u][1]):
+            top.append(u)
+    if not top:
+        return WitnessResult(
+            multipliers=a.multipliers,
+            found=False,
+            n=None,
+            digits=None,
+            bound_denominator=None,
+            exhausted=True,
+        )
 
-    # exact[j]: the states reachable in exactly j steps, where position j of
-    # the witness may sit
-    exact = [{0}]
-    for _ in range(best_len - 1):
-        exact.append({t for u in exact[-1] for t in trans[u] if t is not None})
-
-    # allowed: the states of exact[j] from which the digits already fixed
-    # above position j lead to flush; every u in exact[j] steps into
-    # exact[j + 1], so restricting to the layer loses no witness
+    # allowed: the states at distance <= j from which the digits already
+    # fixed above position j lead to flush; a state at distance <= j steps
+    # to one at distance <= j + 1, so restricting to them loses no witness
+    best_len = dist[top[0]] + 1
     digits = [0] * best_len
     digits[best_len - 1] = 1
-    allowed = {u for u in exact[best_len - 1] if is_flush(trans[u][1])}
+    # every state at distance <= best_len - 2 comes before top[0]
+    ball = order[: order.index(top[0])]
+    allowed = set(top)
     for j in range(best_len - 2, -1, -1):
-        zero_side = {u for u in exact[j] if trans[u][0] in allowed}
+        zero_side = {u for u in ball if dist[u] <= j and trans[u][0] in allowed}
         if zero_side:
             allowed = zero_side
         else:
             digits[j] = 1
-            allowed = {u for u in exact[j] if trans[u][1] in allowed}
+            allowed = {u for u in ball if dist[u] <= j and trans[u][1] in allowed}
             if not allowed:
                 raise AssertionError("witness reconstruction lost feasibility")
 
@@ -323,10 +345,10 @@ class ScanResult:
     in_mc: some positive integer N has N and M*N both digit-2-free (exact
     reachability decision).  in_mh: the admissible set of {1, M} has
     positive dimension, i.e. its trimmed machine has a growth component (an
-    exact structural test for spectral radius > 1).  The test runs on the
-    untrimmed machine: some state keeps both out-edges in its own strongly
-    connected component.  Such a state lies on a cycle, and trimming never
-    touches a component with a cycle, so the answer equals the trimmed one.
+    exact structural test for spectral radius > 1): some state keeps both
+    out-edges in its own strongly connected component.  Such a state lies
+    on a cycle, and trimming never touches a component with a cycle, so the
+    untrimmed machine gives the same answer.
     The strict witnesses are the M in the second class but not the first.
     """
 
@@ -337,13 +359,99 @@ class ScanResult:
     strict: tuple[int, ...]
 
 
+def _carry_distances(m: int, state_limit: int) -> tuple[list[int], list[int]]:
+    """Breadth-first distances from carry 0 in the {1, m} machine, indexed
+    by the carry of m (-1 where unreachable), and the reachable carries in
+    the order the search reached them.
+
+    From carry c, digit d is allowed iff (c + d*m) % 3 != 2 and leads to
+    (c + d*m) // 3.  A carry c <= m // 2 leads to at most (m // 2 + m) // 3
+    <= m // 2, so the list holds every carry.  The search reaches the states
+    of build_automaton in its order, digit 0 before digit 1, so it raises
+    the same SizeGuardError at the same count.
+    """
+    dist = [-1] * (m // 2 + 1)
+    dist[0] = 0
+    order = [0]
+    for c in order:
+        dc = dist[c] + 1
+        for t in (c, c + m):
+            if t % 3 != 2:
+                t //= 3
+                if dist[t] < 0:
+                    if len(order) >= state_limit:
+                        raise _too_many(MultiplierSet.of((1, m)), state_limit)
+                    dist[t] = dc
+                    order.append(t)
+    return dist, order
+
+
 def _classify_normalized(
     m: int, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> tuple[bool, bool, int | None]:
-    """(in_mc, in_mh, smallest witness) for a 3-coprime multiplier."""
-    a = build_automaton(MultiplierSet.of([1, m]), state_limit)
-    wit = smallest_witness(a)
-    return wit.found, has_growth(a), wit.n
+    """(in_mc, in_mh, smallest witness) for a 3-coprime multiplier.
+
+    Works on the integer carry of m, without building the machine:
+
+    - Witness.  Carry 0 loops on digit 0, so the carries where position j
+      of a witness may sit are exactly those with dist <= j.  The least
+      length L is 1 + the least dist[u] whose digit-1 target is flush
+      (digit-2-free), and the first such u in breadth-first order has it.
+      The digits are then fixed greedily from the top, as smallest_witness
+      does, stepping back by arithmetic: the carries that reach t on digit
+      d are 3t - d*m and 3t + 1 - d*m, kept when reachable with dist <= j.
+    - Growth.  For m = 1 (mod 3), carry 0 has two out-edges: its loop and
+      an edge to s = (m - 1) // 3.  Every other carry is reached through s,
+      and the only edge from another carry into 0 is 1 -> 0 on digit 0
+      (3*0 + 1 - m < 0 for m > 1).  So s reaches 0, which puts both of
+      0's out-edges inside its component as has_growth asks, iff m = 1 or
+      carry 1 is reachable.  Otherwise 0's component is {0} alone and the
+      built machine's other components decide.  For m = 2 (mod 3), carry 0
+      is the only state and keeps one out-edge: no growth.
+    """
+    dist, order = _carry_distances(m, state_limit)
+    if m == 1 or dist[1] >= 0:
+        in_mh = True
+    elif len(order) == 1:
+        in_mh = False
+    else:
+        in_mh = has_growth(build_automaton(MultiplierSet.of((1, m)), state_limit))
+
+    top: list[int] = []
+    for u in order:
+        if top and dist[u] > dist[top[0]]:
+            break
+        t = u + m
+        if t % 3 != 2 and int_omits_digit(t // 3, 2):
+            top.append(u)
+    if not top:
+        return False, in_mh, None
+
+    length = dist[top[0]] + 1
+    digits = [0] * length
+    digits[-1] = 1
+    allowed = top
+    half = m // 2
+    for j in range(length - 2, -1, -1):
+        for d in (0, 1):
+            dm = d * m
+            prev = {
+                u
+                for t in allowed
+                for u in (3 * t - dm, 3 * t + 1 - dm)
+                if 0 <= u <= half and 0 <= dist[u] <= j
+            }
+            if prev:
+                break
+        else:
+            raise AssertionError("witness reconstruction lost feasibility")
+        digits[j] = d
+        allowed = prev
+
+    n = sum(d * 3**j for j, d in enumerate(digits))
+    if not (int_omits_digit(n, 2) and int_omits_digit(n * m, 2)):
+        raise AssertionError("reconstructed witness fails the digit check")
+    return True, in_mh, n
 
 
 def scan_problems(
@@ -354,8 +462,8 @@ def scan_problems(
 ) -> ScanResult:
     """Classify all M = 1..x; powers of 3 inside M never change the class.
 
-    Every machine is built under state_limit, past which SizeGuardError is
-    raised.
+    Every carry search runs under state_limit, past which SizeGuardError is
+    raised, as building the machine would.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

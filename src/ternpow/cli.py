@@ -38,10 +38,10 @@ from .cantor import (
     trim,
 )
 from .cantor.dimension import DEFAULT_PREFIX_DEPTH, MAX_PREFIX_DEPTH
-from .cantor.search import DEFAULT_SCAN_LIMIT
+from .cantor.search import DEFAULT_SCAN_LIMIT, MAX_SEARCH_N
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
-from .orbit.gaps import DEFAULT_GAP_PRECISION, three_gap_bruteforce
+from .orbit.gaps import DEFAULT_GAP_PRECISION, MAX_BRUTE_N, three_gap_bruteforce
 from .precision import DEFAULT_PRECISION_CAP, MIN_PRECISION
 from .sieve import narkiewicz_check, sieve_report, survivors_N
 from .ternary import DyadicRational
@@ -271,7 +271,11 @@ def _build_parser() -> _Parser:
         default="0",
         help="orbit offset x (decimal or A/B)",
     )
-    p.add_argument("--brute-check", action="store_true")
+    p.add_argument(
+        "--brute-check",
+        action="store_true",
+        help=f"also sort the points directly; needs N <= {MAX_BRUTE_N}",
+    )
     p.add_argument(
         "--prec", type=_int_at_least(MIN_PRECISION), default=DEFAULT_GAP_PRECISION
     )
@@ -334,7 +338,13 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
     )
-    p.add_argument("--max-N", dest="max_n", type=_int_at_least(1), default=10_000)
+    p.add_argument(
+        "--max-N",
+        dest="max_n",
+        type=_int_at_least(1, at_most=MAX_SEARCH_N),
+        default=10_000,
+        help=f"search ceiling, at most {MAX_SEARCH_N}",
+    )
     p.add_argument(
         "--exact",
         action="store_true",
@@ -585,9 +595,17 @@ def _cmd_verify(args) -> tuple[str, int]:
 _PARSER = _build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, then check the bounds that tie two options together."""
+    args = _PARSER.parse_args(argv)
+    if args.command == "three-gap" and args.brute_check and args.N > MAX_BRUTE_N:
+        _PARSER.error(f"three-gap --brute-check needs --N <= {MAX_BRUTE_N}, got {args.N}")
+    return args
+
+
 def dispatch(argv: list[str]) -> tuple[str, int]:
     """Run one command; returns (stdout text, exit code)."""
-    return _run(_PARSER.parse_args(argv))
+    return _run(_parse_args(argv))
 
 
 def _run(args) -> tuple[str, int]:
@@ -625,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     t0 = time.perf_counter()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         text, code = _run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -18,6 +18,9 @@ from ..errors import InsufficientDepth, PrecisionError
 from .cf import CFExpansion
 
 DEFAULT_GAP_PRECISION = 256
+# the largest N the CLI checks by brute force: the sweep holds all N + 1
+# points, and 10^5 of them at the default precision take about 16 s
+MAX_BRUTE_N = 100_000
 _GUARD_BITS = 64
 
 

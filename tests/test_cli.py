@@ -14,8 +14,10 @@ import pytest
 from mpmath import mp
 
 from ternpow import acceptance, hausdorff_dimension, scan_problems
-from ternpow.cli import _INLINE_INT_LIMIT, RunConfig, _serialize, dispatch, main
+from ternpow.cantor.search import MAX_SEARCH_N
+from ternpow.cli import _INLINE_INT_LIMIT, RunConfig, _parse_args, _serialize, dispatch, main
 from ternpow.errors import PrecisionError
+from ternpow.orbit.gaps import MAX_BRUTE_N
 
 
 def _run(argv):
@@ -131,6 +133,18 @@ def test_three_gap_brute_check_flag():
     assert payload["results"]["brute_match"] is True
 
 
+def test_search_and_brute_bounds_are_inclusive():
+    # a witness at N = 1 ends the search at once, whatever the ceiling
+    payload = _run(["search-n", "--multipliers", "1,4,256", "--max-N", str(MAX_SEARCH_N)])
+    assert payload["results"]["n"] == 1
+    assert payload["results"]["checked_up_to"] == MAX_SEARCH_N
+    # parsing alone: a sweep at the bound takes seconds
+    assert _parse_args(["three-gap", "--N", str(MAX_BRUTE_N), "--brute-check"]).N == MAX_BRUTE_N
+    # the formula alone has no bound on N
+    big = _run(["three-gap", "--N", str(10**15)])
+    assert big["results"]["N"] == 10**15
+
+
 def test_census_command():
     payload = _run(["census", "--lambda", "1", "--max", "1000"])
     assert payload["results"]["census"] == 98
@@ -235,6 +249,10 @@ def test_computation_errors_exit_two(capsys):
         ["dimension", "--multipliers", "1", "--prefix-depth", "14300"],
         ["export-automaton", "--multipliers", "1,-2"],
         ["search-n", "--multipliers", "7", "--max-N", "0"],
+        ["search-n", "--multipliers", "7", "--max-N", "10000000001"],
+        ["search-n", "--multipliers", "7", "--max-N", "1" + "0" * 15],
+        ["three-gap", "--N", "100001", "--brute-check"],
+        ["three-gap", "--brute-check", "--N", "1000000000000"],
         ["scan", "--max-M", "0"],
         ["scan", "--max-M", "3001"],
         ["--threads", "0", "cf", "--depth", "3"],

@@ -25,8 +25,14 @@ from ternpow import (
     trim,
     verify_sigma_subsets,
 )
-from ternpow.cantor.dimension import growth_components
-from ternpow.cantor.search import _bound_denominator, _classify_normalized, _is_flush_state
+from ternpow.cantor.dimension import growth_components, has_growth
+from ternpow.cantor.search import (
+    _bound_denominator,
+    _carry_distances,
+    _classify_normalized,
+    _distances,
+    _is_flush_state,
+)
 
 LOG3_2 = math.log(2) / math.log(3)
 
@@ -398,6 +404,78 @@ def test_classification_matches_trimmed_oracle_for_every_normal():
     for m in range(1, 3001):
         if m % 3:
             assert _classify_normalized(m) == _parent_classify_normalized(m), m
+
+
+def test_classification_matches_trimmed_oracle_past_the_scan_bound(monkeypatch):
+    # 200 seeded 3-free M in (3000, 10^5], both residues; only the
+    # M = 1 (mod 3) whose carry 1 is unreachable read growth from the
+    # built machine
+    fallbacks = []
+
+    def counting_has_growth(a):
+        fallbacks.append(a.multipliers[1])
+        assert (0, 1) not in a.states
+        return has_growth(a)
+
+    monkeypatch.setattr(search, "has_growth", counting_has_growth)
+    rng = random.Random(16)
+    sample = rng.sample([m for m in range(3001, 10**5 + 1) if m % 3], 200)
+    assert {m % 3 for m in sample} == {1, 2}
+    for m in sample:
+        assert _classify_normalized(m) == _parent_classify_normalized(m), m
+    assert fallbacks and all(m % 3 == 1 for m in fallbacks)
+
+
+def _exact_step_layers(a, steps):
+    """The states reachable in exactly j steps, for j = 0..steps."""
+    layers = [{0}]
+    for _ in range(steps):
+        layers.append({t for u in layers[-1] for t in a.transitions[u] if t is not None})
+    return layers
+
+
+def _assert_layers_are_distance_balls(a, dist):
+    reached = [d for d in dist if d >= 0]
+    assert len(reached) == a.num_states
+    steps = max(reached) + 2
+    for j, layer in enumerate(_exact_step_layers(a, steps)):
+        assert layer == {u for u in range(a.num_states) if 0 <= dist[u] <= j}, j
+
+
+@given(st.integers(min_value=1, max_value=10**4).filter(lambda m: m % 3))
+def test_pair_carry_distances_are_the_exact_step_layers(m):
+    # the carry search reaches the built machine's states in its order, and
+    # the states reachable in exactly j steps are those with dist <= j; a
+    # state's last carry is that of m (of the implicit 1 when m = 1)
+    a = build_automaton([1, m])
+    by_carry, order = _carry_distances(m, 10**6)
+    assert order == [s[-1] for s in a.states]
+    dist = [by_carry[s[-1]] for s in a.states]
+    assert dist == _distances(a.transitions)[0]
+    _assert_layers_are_distance_balls(a, dist)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=3))
+def test_distances_are_the_exact_step_layers_for_triples(ms):
+    a = build_automaton(ms)
+    dist, order = _distances(a.transitions)
+    assert sorted(order) == list(range(a.num_states))
+    assert [dist[u] for u in order] == sorted(dist)
+    _assert_layers_are_distance_balls(a, dist)
+
+
+def test_classification_guard_trips_with_the_machine_build():
+    for m in (7, 970, 2188):
+        states = build_automaton([1, m]).num_states
+        full = _classify_normalized(m)
+        for k in range(1, states + 2):
+            if k < states:
+                with pytest.raises(SizeGuardError):
+                    build_automaton([1, m], state_limit=k)
+                with pytest.raises(SizeGuardError):
+                    _classify_normalized(m, state_limit=k)
+            else:
+                assert _classify_normalized(m, state_limit=k) == full
 
 
 def test_scan_matches_trimmed_oracle(monkeypatch):
