@@ -23,9 +23,7 @@ trimming.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 
 from ..precision import math_floor_log3
 from ..ternary import count_free_upto, int_omits_digit, int_to_digits, nth_free
@@ -454,12 +452,7 @@ def _classify_normalized(
     return True, in_mh, n
 
 
-def scan_problems(
-    x: int,
-    limit: int = DEFAULT_SCAN_LIMIT,
-    workers: int = 1,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> ScanResult:
+def scan_problems(x: int, state_limit: int = DEFAULT_STATE_LIMIT) -> ScanResult:
     """Classify all M = 1..x; powers of 3 inside M never change the class.
 
     Every carry search runs under state_limit, past which SizeGuardError is
@@ -467,24 +460,18 @@ def scan_problems(
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > limit:
-        raise ValueError(f"x exceeds the configured scan limit {limit}")
+    if x > DEFAULT_SCAN_LIMIT:
+        raise ValueError(f"x exceeds the scan limit {DEFAULT_SCAN_LIMIT}")
 
     def strip3(m: int) -> int:
         while m % 3 == 0:
             m //= 3
         return m
 
-    normals = sorted({strip3(m) for m in range(1, x + 1)})
-    workers = min(workers, len(normals), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            classify = partial(_classify_normalized, state_limit=state_limit)
-            results = dict(zip(normals, pool.map(classify, normals)))
-    else:
-        results = {m: _classify_normalized(m, state_limit) for m in normals}
+    results = {
+        m: _classify_normalized(m, state_limit)
+        for m in sorted({strip3(m) for m in range(1, x + 1)})
+    }
 
     rows = []
     for m in range(1, x + 1):

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Every report-producing command emits one JSON document on stdout with sorted
-keys, so identical configuration and seed give byte-identical output; wall
-time goes to stderr only (a timing field inside the payload would break
-reproducibility, so it is pinned to null).  Large integers are serialized as
-decimal strings, exact rationals as "p/q" strings, and ternary digit strings
-most-significant digit first.
+keys, so identical argv gives byte-identical output on any host; wall time
+goes to stderr only (a timing field inside the payload would break
+reproducibility, so it is pinned to null).  The printed config holds the two
+global settings that can change a result, the precision cap and the state
+limit; --threads is parsed and checked but ignored.  Large integers are
+serialized as decimal strings, exact rationals as "p/q" strings, and ternary
+digit strings most-significant digit first.
 
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 verification
 failure.
@@ -21,7 +23,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -42,30 +44,12 @@ from .cantor.search import DEFAULT_SCAN_LIMIT, MAX_SEARCH_N
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
 from .orbit.gaps import DEFAULT_GAP_PRECISION, MAX_BRUTE_N, three_gap_bruteforce
+from .orbit.leading import MAX_CENSUS_X
 from .precision import DEFAULT_PRECISION_CAP, MIN_PRECISION
-from .sieve import narkiewicz_check, sieve_report, survivors_N
+from .sieve import MAX_SIEVE_X, narkiewicz_check, sieve_report, survivors_N
 from .ternary import DyadicRational
 
 _INLINE_INT_LIMIT = 1 << 53
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Snapshot of the knobs that can influence any command's output."""
-
-    precision_cap: int
-    state_limit: int
-    seed: int
-    threads: int
-    output_format: str
-
-    def __post_init__(self) -> None:
-        if self.precision_cap < MIN_PRECISION:
-            raise ValueError(f"precision cap must be >= {MIN_PRECISION}")
-        if self.state_limit < 1:
-            raise ValueError("state limit must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _serialize(value):
@@ -92,10 +76,12 @@ def _serialize(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_report(command: str, config: RunConfig, results, notes: list[str]) -> str:
+def _emit_report(command: str, args, results, notes: list[str]) -> str:
+    # the global settings that can change a result
+    config = {"precision_cap": args.precision_cap, "state_limit": args.state_limit}
     payload = {
         "command": command,
-        "config": _serialize(config),
+        "config": config,
         "notes": notes,
         "results": _serialize(results),
         "timing": None,
@@ -135,16 +121,16 @@ def _parse_dyadic(text: str) -> DyadicRational:
 
 
 def _parse_digit_policy(text: str) -> str:
-    """argparse type for --digit-policy: min, max, random or random:<int>."""
+    """argparse type for --digit-policy: min, max or random:<int>."""
     name, colon, seed = text.partition(":")
     try:
         if name == "random" and colon:
             int(seed)
-        elif text not in ("min", "max", "random"):
+        elif text not in ("min", "max"):
             raise ValueError(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"digit policy must be min, max, random or random:<int>, got {text!r}"
+            f"digit policy must be min, max or random:<int>, got {text!r}"
         ) from None
     return text
 
@@ -234,12 +220,10 @@ def _build_parser() -> _Parser:
         default=1_000_000,
         help="carry-machine state guard (default 1000000)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized policies")
     parser.add_argument(
         "--threads",
         type=_int_at_least(1),
-        default=max(1, os.cpu_count() or 1),
-        help="worker processes for the scan command (default: available cores)",
+        help="ignored: every command runs in one process",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
@@ -249,7 +233,13 @@ def _build_parser() -> _Parser:
         help="exponents n with floor(lambda * 2^n) digit-2-free",
         description="CSV schema: one row per surviving exponent, column 'n'.",
     )
-    p.add_argument("--max-exponent", type=_int_at_least(1), required=True, metavar="X")
+    p.add_argument(
+        "--max-exponent",
+        type=_int_at_least(1, at_most=MAX_SIEVE_X),
+        required=True,
+        metavar="X",
+        help=f"largest exponent, at most {MAX_SIEVE_X}",
+    )
     p.add_argument("--lambda", dest="lam", type=_parse_dyadic, default=None, metavar="A/2^s")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -285,7 +275,14 @@ def _build_parser() -> _Parser:
         help="leading-digit-window census for exponents up to X",
     )
     p.add_argument("--lambda", dest="lam", type=_parse_dyadic, required=True, metavar="A/2^s")
-    p.add_argument("--max", dest="max_x", type=_int_at_least(2), required=True, metavar="X")
+    p.add_argument(
+        "--max",
+        dest="max_x",
+        type=_int_at_least(2, at_most=MAX_CENSUS_X),
+        required=True,
+        metavar="X",
+        help=f"largest exponent, at most {MAX_CENSUS_X}",
+    )
 
     p = sub.add_parser(
         "construct",
@@ -296,7 +293,7 @@ def _build_parser() -> _Parser:
         "--digit-policy",
         type=_parse_digit_policy,
         default="min",
-        help="min | max | random:<seed> (bare 'random' uses --seed)",
+        help="min | max | random:<seed>",
     )
 
     p = sub.add_parser(
@@ -376,7 +373,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_sieve(args, config: RunConfig) -> str:
+def _cmd_sieve(args) -> str:
     if args.lam is None:
         report = sieve_report(args.max_exponent)
         survivors = report.survivors
@@ -399,7 +396,7 @@ def _cmd_sieve(args, config: RunConfig) -> str:
         return buf.getvalue().rstrip("\n")
     return _emit_report(
         "sieve",
-        config,
+        args,
         results,
         [
             "an exponent n survives when floor(lambda * 2^n) is a positive "
@@ -410,8 +407,8 @@ def _cmd_sieve(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_cf(args, config: RunConfig) -> str:
-    cf = cf_log3_2(args.depth, cap=config.precision_cap)
+def _cmd_cf(args) -> str:
+    cf = cf_log3_2(args.depth, cap=args.precision_cap)
     results = {
         "depth": args.depth,
         "partial_quotients": cf.partial_quotients,
@@ -420,24 +417,25 @@ def _cmd_cf(args, config: RunConfig) -> str:
     }
     return _emit_report(
         "cf",
-        config,
+        args,
         results,
         [
-            "quotients come from an exact power-comparison ladder; every "
-            "convergent is re-verified against the determinant identity",
+            "quotients are those both rational endpoints of one certified "
+            "enclosure share, found by Euclid in integers; every convergent "
+            "is re-verified against the determinant identity",
             "growth check: q_n <= 1200 * q_(n-1)^13.3, compared via integer "
             "10th powers",
         ],
     )
 
 
-def _cmd_three_gap(args, config: RunConfig) -> str:
+def _cmd_three_gap(args) -> str:
     offset = args.offset
     depth = 14
-    cf = cf_log3_2(depth, cap=config.precision_cap)
+    cf = cf_log3_2(depth, cap=args.precision_cap)
     while cf.q(cf.depth) + cf.q(cf.depth - 1) <= args.N:
         depth *= 2
-        cf = cf_log3_2(depth, cap=config.precision_cap)
+        cf = cf_log3_2(depth, cap=args.precision_cap)
     spec = three_gap(cf, offset, args.N, args.prec)
     results = {
         "N": args.N,
@@ -452,7 +450,7 @@ def _cmd_three_gap(args, config: RunConfig) -> str:
         results["brute_match"] = spec.matches(brute)
     return _emit_report(
         "three-gap",
-        config,
+        args,
         results,
         [
             "N+1 orbit points of x + j*theta mod 1 leave at most three distinct "
@@ -461,11 +459,11 @@ def _cmd_three_gap(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_census(args, config: RunConfig) -> str:
-    report = theorem11_census(args.lam, args.max_x, cap=config.precision_cap)
+def _cmd_census(args) -> str:
+    report = theorem11_census(args.lam, args.max_x, cap=args.precision_cap)
     return _emit_report(
         "census",
-        config,
+        args,
         report,
         [
             "census counts exponents whose leading digit window omits 2; it is "
@@ -475,16 +473,13 @@ def _cmd_census(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_construct(args, config: RunConfig) -> str:
-    policy = args.digit_policy
-    if policy == "random":
-        policy = f"random:{config.seed}"
+def _cmd_construct(args) -> str:
     state = construct_theorem12(
-        args.levels, digit_policy=policy, cap=config.precision_cap
+        args.levels, digit_policy=args.digit_policy, cap=args.precision_cap
     )
     return _emit_report(
         "construct",
-        config,
+        args,
         state,
         [
             "each level extends the seed so floor(lambda * 2^m) ends in a long "
@@ -495,21 +490,21 @@ def _cmd_construct(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_dimension(args, config: RunConfig) -> str:
+def _cmd_dimension(args) -> str:
     ms = args.multipliers
     est = hausdorff_dimension(
         ms,
         prefix_depth=args.prefix_depth,
-        state_limit=config.state_limit,
+        state_limit=args.state_limit,
     )
     results = _serialize(est)
     results["value"] = est.value
     if args.exact_charpoly:
-        poly = exact_charpoly(ms, state_limit=config.state_limit)
+        poly = exact_charpoly(ms, state_limit=args.state_limit)
         results["charpoly"] = str(poly.as_expr())
     return _emit_report(
         "dimension",
-        config,
+        args,
         results,
         [
             "value is log base 3 of the spectral radius of the trimmed carry "
@@ -520,10 +515,8 @@ def _cmd_dimension(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_scan(args, config: RunConfig) -> str:
-    result = scan_problems(
-        args.max_m, workers=config.threads, state_limit=config.state_limit
-    )
+def _cmd_scan(args) -> str:
+    result = scan_problems(args.max_m, state_limit=args.state_limit)
     if args.out == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -541,7 +534,7 @@ def _cmd_scan(args, config: RunConfig) -> str:
         return buf.getvalue().rstrip("\n")
     return _emit_report(
         "scan",
-        config,
+        args,
         result,
         [
             "in_MC: some positive N keeps N and M*N digit-2-free, decided "
@@ -552,10 +545,10 @@ def _cmd_scan(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_search_n(args, config: RunConfig) -> str:
+def _cmd_search_n(args) -> str:
     ms = args.multipliers
     if args.exact:
-        res = smallest_witness(ms, state_limit=config.state_limit)
+        res = smallest_witness(ms, state_limit=args.state_limit)
     else:
         res = theorem17_search(ms, args.max_n)
     results = _serialize(res)
@@ -564,7 +557,7 @@ def _cmd_search_n(args, config: RunConfig) -> str:
         results["digits"] = "".join(str(d) for d in reversed(res.digits))
     return _emit_report(
         "search-n",
-        config,
+        args,
         results,
         [
             "N must keep N itself and every M*N free of the ternary digit 2",
@@ -574,8 +567,8 @@ def _cmd_search_n(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_export_automaton(args, config: RunConfig) -> str:
-    a = build_automaton(args.multipliers, config.state_limit)
+def _cmd_export_automaton(args) -> str:
+    a = build_automaton(args.multipliers, args.state_limit)
     if args.trim:
         a = trim(a)
     return a.to_dot() if args.format == "dot" else a.to_json()
@@ -608,35 +601,23 @@ def dispatch(argv: list[str]) -> tuple[str, int]:
     return _run(_parse_args(argv))
 
 
+_COMMANDS = {
+    "sieve": _cmd_sieve,
+    "cf": _cmd_cf,
+    "three-gap": _cmd_three_gap,
+    "census": _cmd_census,
+    "construct": _cmd_construct,
+    "dimension": _cmd_dimension,
+    "scan": _cmd_scan,
+    "search-n": _cmd_search_n,
+    "export-automaton": _cmd_export_automaton,
+}
+
+
 def _run(args) -> tuple[str, int]:
-    config = RunConfig(
-        precision_cap=args.precision_cap,
-        state_limit=args.state_limit,
-        seed=args.seed,
-        threads=args.threads,
-        output_format=getattr(args, "format", None) or getattr(args, "out", "json"),
-    )
-    if args.command == "sieve":
-        return _cmd_sieve(args, config), 0
-    if args.command == "cf":
-        return _cmd_cf(args, config), 0
-    if args.command == "three-gap":
-        return _cmd_three_gap(args, config), 0
-    if args.command == "census":
-        return _cmd_census(args, config), 0
-    if args.command == "construct":
-        return _cmd_construct(args, config), 0
-    if args.command == "dimension":
-        return _cmd_dimension(args, config), 0
-    if args.command == "scan":
-        return _cmd_scan(args, config), 0
-    if args.command == "search-n":
-        return _cmd_search_n(args, config), 0
-    if args.command == "export-automaton":
-        return _cmd_export_automaton(args, config), 0
     if args.command == "verify":
         return _cmd_verify(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    return _COMMANDS[args.command](args), 0
 
 
 def main(argv: list[str] | None = None) -> int:

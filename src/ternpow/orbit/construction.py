@@ -297,8 +297,6 @@ def construct_theorem12(
     if digit_policy.startswith("random:"):
         rng = random.Random(int(digit_policy.split(":", 1)[1]))
         policy = "random"
-    elif digit_policy == "random":
-        raise ValueError("random policy must carry a seed: random:<seed>")
     elif digit_policy not in ("min", "max"):
         raise ValueError(f"unknown digit policy: {digit_policy!r}")
     explicit_digits = explicit_digits or {}

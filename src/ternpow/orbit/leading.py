@@ -20,6 +20,8 @@ from .cf import cf_log3_2
 
 # guard bits of the census window beyond log2 X; see theorem11_census
 _GUARD_BITS = 64
+# the largest X the CLI counts: the census is linear in X, about 7 s at 10^7
+MAX_CENSUS_X = 10**7
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .errors import InsufficientDigits
 from .precision import math_floor_log3, power_le
 from .ternary import DyadicRational, int_omits_digit
 
+# the largest X the CLI sieves: about 22 s, growing about 5.3x per decade
+MAX_SIEVE_X = 10**10
+
 # depth of the per-depth candidate counts in a sieve report
 REPORT_DEPTH = 12
 

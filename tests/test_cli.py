@@ -15,9 +15,11 @@ from mpmath import mp
 
 from ternpow import acceptance, hausdorff_dimension, scan_problems
 from ternpow.cantor.search import MAX_SEARCH_N
-from ternpow.cli import _INLINE_INT_LIMIT, RunConfig, _parse_args, _serialize, dispatch, main
+from ternpow.cli import _INLINE_INT_LIMIT, _parse_args, _serialize, dispatch, main
 from ternpow.errors import PrecisionError
 from ternpow.orbit.gaps import MAX_BRUTE_N
+from ternpow.orbit.leading import MAX_CENSUS_X
+from ternpow.sieve import MAX_SIEVE_X
 
 
 def _run(argv):
@@ -26,21 +28,12 @@ def _run(argv):
     return json.loads(text)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(128, 10, 0, 1, "json")
-    with pytest.raises(ValueError):
-        RunConfig(256, 0, 0, 1, "json")
-    with pytest.raises(ValueError):
-        RunConfig(256, 10, 0, 0, "json")
-
-
 def test_report_envelope_shape():
     payload = _run(["cf", "--depth", "6"])
     assert set(payload.keys()) == {"command", "config", "notes", "results", "timing"}
     assert payload["command"] == "cf"
     assert payload["timing"] is None
-    assert payload["config"]["state_limit"] == 1_000_000
+    assert payload["config"] == {"precision_cap": 65536, "state_limit": 1_000_000}
     assert payload["results"]["partial_quotients"] == [0, 1, 1, 1, 2, 2, 3]
 
 
@@ -49,7 +42,7 @@ def test_output_is_byte_identical_across_runs():
         ["dimension", "--multipliers", "1,7"],
         ["sieve", "--max-exponent", "200"],
         ["three-gap", "--N", "50"],
-        ["--seed", "9", "construct", "--levels", "1", "--digit-policy", "random"],
+        ["construct", "--levels", "1", "--digit-policy", "random:9"],
     ):
         a, code_a = dispatch(argv)
         b, code_b = dispatch(argv)
@@ -58,9 +51,12 @@ def test_output_is_byte_identical_across_runs():
 
 
 def test_scan_results_independent_of_threads():
-    one, _ = dispatch(["--threads", "1", "scan", "--max-M", "30"])
-    two, _ = dispatch(["--threads", "2", "scan", "--max-M", "30"])
-    assert json.loads(one)["results"] == json.loads(two)["results"]
+    # --threads is parsed and ignored: stdout depends on argv alone
+    for argv in (["scan", "--max-M", "30"], ["cf", "--depth", "6"]):
+        plain = dispatch(argv)
+        assert plain[1] == 0
+        for threads in ("1", "2"):
+            assert dispatch(["--threads", threads, *argv]) == plain, threads
 
 
 def test_json_keys_are_sorted():
@@ -138,8 +134,10 @@ def test_search_and_brute_bounds_are_inclusive():
     payload = _run(["search-n", "--multipliers", "1,4,256", "--max-N", str(MAX_SEARCH_N)])
     assert payload["results"]["n"] == 1
     assert payload["results"]["checked_up_to"] == MAX_SEARCH_N
-    # parsing alone: a sweep at the bound takes seconds
+    # parsing alone: a run at each bound takes seconds
     assert _parse_args(["three-gap", "--N", str(MAX_BRUTE_N), "--brute-check"]).N == MAX_BRUTE_N
+    assert _parse_args(["sieve", "--max-exponent", str(MAX_SIEVE_X)]).max_exponent == MAX_SIEVE_X
+    assert _parse_args(["census", "--lambda", "1", "--max", str(MAX_CENSUS_X)]).max_x == MAX_CENSUS_X
     # the formula alone has no bound on N
     big = _run(["three-gap", "--N", str(10**15)])
     assert big["results"]["N"] == 10**15
@@ -222,10 +220,8 @@ def test_computation_errors_exit_two(capsys):
     assert main(["--precision-cap", "256", "cf", "--depth", "79"]) == 2
     assert "ternpow: PrecisionError" in capsys.readouterr().err
     # the {1, 7} machine of the scan needs 4 states
-    for threads in ("1", "2"):
-        argv = ["--threads", threads, "--state-limit", "3", "scan", "--max-M", "10"]
-        assert main(argv) == 2
-        assert "ternpow: SizeGuardError" in capsys.readouterr().err
+    assert main(["--state-limit", "3", "scan", "--max-M", "10"]) == 2
+    assert "ternpow: SizeGuardError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -261,6 +257,12 @@ def test_computation_errors_exit_two(capsys):
         ["construct", "--levels", "1", "--digit-policy", "smallest"],
         ["construct", "--levels", "1", "--digit-policy", "random:abc"],
         ["construct", "--levels", "1", "--digit-policy", "random:"],
+        ["sieve", "--max-exponent", "10000000001"],
+        ["sieve", "--lambda", "3", "--max-exponent", "1" + "0" * 19],
+        ["census", "--lambda", "1", "--max", "10000001"],
+        ["census", "--lambda", "1", "--max", "1" + "0" * 19],
+        ["construct", "--levels", "1", "--digit-policy", "random"],
+        ["--seed", "9", "construct", "--levels", "1"],
     ],
 )
 def test_invalid_input_is_usage_error(argv, capsys):
@@ -313,9 +315,8 @@ def test_back_to_back_dispatch_matches_fresh_processes():
     # one parser serves every call, so nothing parsed for one command (its
     # subcommand, options or defaults) may leak into the next
     argvs = [
-        ["--precision-cap", "512", "--seed", "9", "construct", "--levels", "1",
-         "--digit-policy", "random"],
-        ["construct", "--levels", "1", "--digit-policy", "random"],
+        ["--precision-cap", "512", "construct", "--levels", "1", "--digit-policy", "random:9"],
+        ["construct", "--levels", "1", "--digit-policy", "random:0"],
         ["three-gap", "--N", "40", "--offset", "-1/3"],
         ["three-gap", "--N", "40"],
         ["--threads", "1", "sieve", "--max-exponent", "60", "--format", "csv"],
@@ -437,43 +438,42 @@ def test_serialize_matches_asdict_walk():
         assert got == json.dumps(_asdict_serialize(value), sort_keys=True)
 
 
-# stdout sha256 of each command at its defaults; --threads is pinned because
-# the config block is printed
+# stdout sha256 of each command at its defaults
 PINNED_STDOUT = {
     ("sieve", "--max-exponent", "200000"):
-        "c7bd18a7944ee3dedc05915d4d4fb626ac3b63f6e231ce9c43450705c7d21e69",
+        "5d69d5ecf33dffeb52fa05a8ba1f5de3601df4d1e372c62ffe5228463df14315",
     ("sieve", "--lambda", "45/2^3", "--max-exponent", "100000"):
-        "2017c01ef8a27e90d326ff838bbf115ebde795140371f2c167402534444e71c3",
+        "4570e4415dd28233b2f11052a91d07a005eb7a3f63465011194b95efe73e6511",
     ("census", "--lambda", "1", "--max", "20000"):
-        "acac9ddcb0168f72fe962270b9b5bc2c70ca9a3a2d97ddb92a62307f0c5a42f8",
+        "ca23290b6ed2188a2b22764673b1c301c1cbc5d9969de9b6e33fee66e7ae8a0e",
     ("census", "--lambda", "1999/2^5", "--max", "100000"):
-        "af18a79a422cb5a25baaf86e10ddb44fe0ae772037bc89a24b3afee866f8722d",
+        "3ca24da893b1260cd6a21aed4ee5a69e565a12c26769275b6642935e22761689",
     ("cf", "--depth", "400"):
-        "79ffa994ab6b0e2e81dd52ed50f22220a0a9f90eb0e45bcdb50781605e911321",
+        "cd388ecefc58f892c821fa0b49a1d5cb6d71ab53e83632632672e074fb239d2e",
     ("construct", "--levels", "2", "--digit-policy", "random:5"):
-        "47c5ed3e44d317e74b87fc61647b46dbf6328bd13934501b5fa5c49ef7d27373",
+        "7d96ce448391d6f143249c1a9322326ba1d5874e043979e5921ec53d5fcac5b9",
     ("construct", "--levels", "1", "--digit-policy", "min"):
-        "bc699942691f222832d2876837494386ab124396de7d4bf2e3c76c538a894bb0",
+        "b13ef0231a80cf9b1a712eeb87579fc3ec131732ebb9810dae2359c45fd95d24",
     ("construct", "--levels", "1", "--digit-policy", "max"):
-        "6efdeb1865b359576d29c60d5fbb6e028a01cca02805e679e5e7c75a1c87f30b",
+        "1f8885782be92f830ac4e76a7108cd5ee8acf0ab6787c7743db75b2f001be7a8",
     ("three-gap", "--N", "123456789", "--offset", "3/97"):
-        "f138cc549fc94d74227084b53a4a349ca371e1be342a597c0d9bcd033bbc568f",
+        "c3fc6001bbc75da51b70b8264adfba74985f67778c3b67a81949ad8bcaa85799",
     ("dimension", "--multipliers", "1,7"):
-        "50959a4343bdf0ad1352f0ad9543cd6e622b23e377dcdf60e1fa6a44dce27060",
+        "de58492b1c508a2c929d4f01cb38b36a38d40b0517ed22afc4b2de1cfa69da44",
     ("scan", "--max-M", "300"):
-        "f28d0758128d468254040c01b3d06ff468921451e1798a68a829301030151fee",
+        "f5887a672cf4cf3b764fa97d1933b1e82e742af34f975128925f888c0c8ec169",
     ("search-n", "--multipliers", "1,4,256", "--max-N", "10"):
-        "6dabf9c54eba63a2feaa3c377a59f05e52710a548175f40bde4e1d5934346ea5",
+        "e706865330530646a896fad79331a2f5b680c65f0bf899cc3c83315cf4f16722",
     # no witness below the bound: the whole enumeration runs
     ("search-n", "--multipliers", "4,7", "--max-N", "100000"):
-        "a4e5712e9242fb1d568fbae8a589a726fcbad83a631be7569d1bc22cf9e5f94f",
+        "82069439164e211642fd729011cb3d0d27881274f4cfcbcfff94b94db5dd4620",
 }
 
 
 def test_stdout_bytes_are_pinned():
     digests = {}
     for argv in PINNED_STDOUT:
-        text, code = dispatch(["--threads", "1", *argv])
+        text, code = dispatch(list(argv))
         assert code == 0
         digests[argv] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == PINNED_STDOUT

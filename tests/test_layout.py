@@ -10,6 +10,7 @@ from pathlib import Path
 
 import ternpow.cantor.automaton
 import ternpow.cantor.search
+import ternpow.cli
 import ternpow.orbit
 import ternpow.orbit.construction
 import ternpow.precision
@@ -145,6 +146,13 @@ def test_replaced_paths_are_gone():
     assert not hasattr(ternpow.sieve, "residue_survivors")
     assert not hasattr(ternpow, "residue_survivors")
     assert not hasattr(ternpow.cantor.search, "_free_integers_ascending")
+    # stdout depends on argv alone: no run config, and the scan is serial
+    assert not hasattr(ternpow.cli, "RunConfig")
+    scan = inspect.signature(ternpow.cantor.search.scan_problems).parameters
+    assert not {"workers", "limit"} & set(scan)
+    pools = {"concurrent", "multiprocessing"}
+    for path in PACKAGE.rglob("*.py"):
+        assert not _imported_roots(path) & pools, path
 
 
 def test_cli_serializes_without_asdict():

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 import random
 
 import pytest
@@ -27,6 +25,7 @@ from ternpow import (
 )
 from ternpow.cantor.dimension import growth_components, has_growth
 from ternpow.cantor.search import (
+    DEFAULT_SCAN_LIMIT,
     _bound_denominator,
     _carry_distances,
     _classify_normalized,
@@ -273,42 +272,6 @@ def test_scan_class_containment():
             assert row.in_mh
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan_problems(40, workers=1)
-    parallel = scan_problems(40, workers=2)
-    assert serial == parallel
-
-
-def test_scan_workers_clamped_to_cores_and_work(monkeypatch):
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert scan_problems(30, workers=10**6) == scan_problems(30, workers=1)
-    assert pools == [4]
-    # 1..5 hold four 3-free multipliers, so no more than four workers
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    scan_problems(5, workers=10**6)
-    assert pools == [4, 4]
-    # an unknown core count means one worker: no pool at all
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    scan_problems(5, workers=8)
-    assert pools == [4, 4]
-
-
 def _literal_ceil_log3(x):
     t, p = 0, 1
     while p < x:
@@ -343,9 +306,7 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         scan_problems(0)
     with pytest.raises(ValueError):
-        scan_problems(5000)
-    with pytest.raises(ValueError):
-        scan_problems(50, limit=40)
+        scan_problems(DEFAULT_SCAN_LIMIT + 1)
 
 
 def _parent_smallest_witness(ms):
@@ -499,7 +460,6 @@ def test_lazy_witness_matches_full_preimage_oracle():
 
 def test_scan_honours_state_limit():
     # {1, 7} already needs 4 states
-    for workers in (1, 2):
-        with pytest.raises(SizeGuardError):
-            scan_problems(10, workers=workers, state_limit=3)
+    with pytest.raises(SizeGuardError):
+        scan_problems(10, state_limit=3)
     assert scan_problems(10, state_limit=10**6) == scan_problems(10)
