@@ -34,7 +34,6 @@ cross-multiplication and builds only those two Fractions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
@@ -349,8 +348,8 @@ def _slope_gap(counts: tuple[int, ...], value: Fraction) -> float:
     c = counts[-1]
     if c == 0:
         return float(value)
-    slope = math.log(c) / math.log(3) / r
-    return abs(slope - float(value))
+    lo, hi = log3_bounds(c, MIN_PRECISION)
+    return float(abs((lo + hi) / (2 * r) - value))
 
 
 def exact_charpoly(ms, state_limit: int = DEFAULT_STATE_LIMIT):

@@ -22,10 +22,9 @@ trimming.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..precision import math_floor_log3
+from ..precision import MIN_PRECISION, alpha0_bounds, math_floor_log3
 from ..ternary import count_free_upto, int_omits_digit, int_to_digits, nth_free
 from .automaton import (
     DEFAULT_STATE_LIMIT,
@@ -36,11 +35,16 @@ from .automaton import (
 )
 from .dimension import has_growth
 
-LOG3_2 = math.log(2) / math.log(3)
 DEFAULT_SCAN_LIMIT = 3000
 # the bounded search tests about N^0.63 candidates below N: 10^10 takes
 # about 13 s
 MAX_SEARCH_N = 10**10
+
+
+def _log3_2_over(d: int) -> float:
+    """log3(2) / d, rounded from the midpoint of a certified enclosure."""
+    lo, hi = alpha0_bounds(MIN_PRECISION)
+    return float((lo + hi) / (2 * d))
 
 
 def _bound_denominator(n: int, m_max: int) -> int:
@@ -74,7 +78,7 @@ class WitnessResult:
     def bound(self) -> float | None:
         if self.bound_denominator is None:
             return None
-        return LOG3_2 / self.bound_denominator
+        return _log3_2_over(self.bound_denominator)
 
 
 def _is_flush_state(carries: tuple[int, ...]) -> bool:
@@ -274,11 +278,11 @@ class SigmaSubsetReport:
 
     @property
     def bound_a(self) -> float:
-        return LOG3_2 / 2
+        return _log3_2_over(2)
 
     @property
     def bound_b(self) -> float:
-        return LOG3_2 / 6
+        return _log3_2_over(6)
 
 
 def _blocks_all_accepted(

@@ -267,7 +267,10 @@ def _build_parser() -> _Parser:
         help=f"also sort the points directly; needs N <= {MAX_BRUTE_N}",
     )
     p.add_argument(
-        "--prec", type=_int_at_least(MIN_PRECISION), default=DEFAULT_GAP_PRECISION
+        "--prec",
+        type=_int_at_least(MIN_PRECISION),
+        default=DEFAULT_GAP_PRECISION,
+        help="working precision in bits; at most --precision-cap",
     )
 
     p = sub.add_parser(
@@ -593,6 +596,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     args = _PARSER.parse_args(argv)
     if args.command == "three-gap" and args.brute_check and args.N > MAX_BRUTE_N:
         _PARSER.error(f"three-gap --brute-check needs --N <= {MAX_BRUTE_N}, got {args.N}")
+    if args.command == "three-gap" and args.prec > args.precision_cap:
+        _PARSER.error(
+            f"three-gap --prec must be <= --precision-cap {args.precision_cap}, got {args.prec}"
+        )
     return args
 
 

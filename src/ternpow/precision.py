@@ -9,10 +9,14 @@ Callers combine pairs in exact rational arithmetic (l * log3(2) - r is
 ``(l*lo - r, l*hi - r)``), so an escalation loop can only stall on a
 genuine tie, which callers rule out arithmetically before asking.
 
-The pairs come from ``alpha0_bounds`` and ``log3_bounds``, which read the
-endpoints of mpmath interval logs exactly.  mpmath appears only in this
-module and, until the three-gap sweep is made exact, in ``orbit/gaps.py``
-and in the CLI's printer for its float arc lengths.
+The pairs come from ``alpha0_bounds`` and ``log3_bounds``, pure functions
+of plain integers: log 2 = 2 atanh(1/3), log 3 = log 2 + 2 atanh(1/5), and
+log r = e log 2 + 2 atanh((r' - 1)/(r' + 1)) for r = 2^e * r' with r' in
+[1, 2), each series summed in fixed point with floored terms and a proven
+error bound (``_atanh_floor``), and the endpoints rounded outward to dyadic
+rationals at ``prec`` bits.  No library context is set and no float enters
+them; the only float in this module is the first guess of
+``math_floor_log3``, which exact comparisons then correct.
 
 Questions about log3(2) itself, such as which of 3^p and 2^q is larger,
 read the exact rational endpoints of a single enclosure lo < log3(2) < hi
@@ -26,11 +30,9 @@ powers are built only when the brackets overlap.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, TypeVar
-
-from mpmath import iv, mp
 
 from .errors import PrecisionError
 
@@ -66,61 +68,88 @@ def escalate(
     raise PrecisionError(f"{what} still ambiguous at cap {cap} bits")
 
 
-@contextmanager
-def _iv_prec(prec: int):
-    """Temporarily set the interval context precision (iv lacks workprec)."""
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = saved
+def _atanh_floor(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers (s, n) with s <= 2^bits * atanh(a/b) < s + n, for 0 <= a/b <= 1/3.
 
+    With x = a/b and u_j = 2^bits * x^(2j+1), the series
+    atanh(x) = sum_j x^(2j+1) / (2j+1) is summed in fixed point:
+    p_0 = floor(2^bits * a / b), p_(j+1) = floor(p_j * a^2 / b^2), and the
+    j-th term is t_j = floor(p_j / (2j+1)), until p_J = 0.
 
-def _endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an mpmath interval (raw, no re-rounding)."""
-    ends = []
-    for sign, man, exp, _ in x._mpi_:
-        man, exp = int(man), int(exp)  # backend may hand out gmpy2.mpz
-        if man == 0 and exp != 0:
-            raise ValueError("non-finite value has no rational form")
-        value = man * Fraction(2) ** exp
-        ends.append(-value if sign else value)
-    return ends[0], ends[1]
+    Per-term rounding: u_j - 9/8 < p_j <= u_j.  For j = 0 the floor loses
+    less than 1; if u_j - c < p_j <= u_j, then p_(j+1) <= u_j x^2 = u_(j+1)
+    and p_(j+1) > (u_j - c) x^2 - 1 >= u_(j+1) - (c/9 + 1), and c = 9/8
+    reproduces itself.  So t_j <= u_j / (2j+1), and t_j falls short of it
+    by less than 1 for j = 0 and by less than 1 + (9/8)/3 < 2 for j >= 1.
 
+    Truncation: p_J = 0 means u_J < 9/8, and the dropped tail is
+    sum_(j>=J) u_j / (2j+1) <= u_J * sum_i x^(2i) = u_J / (1 - x^2)
+    < (9/8) * (9/8) < 2.
 
-def _exact_mpf(man: int, shift: int):
-    """The exact float man * 2^shift (no rounding; workprec covers man)."""
-    with mp.workprec(max(abs(man).bit_length(), 8) + 4):
-        return mp.mpf(man) * mp.mpf(2) ** shift
-
-
-def _fraction_to_iv(fr: Fraction, prec: int):
-    """Interval enclosing an exact rational, with outward directed rounding.
-
-    Builds dyadic endpoints by integer shifts so the enclosure never relies
-    on a library rounding mode: lo = floor(fr * 2^prec) / 2^prec, hi is the
-    matching ceiling.
+    Hence 2^bits * atanh(x) lies in [s, s + 2J + 2) with s = sum t_j.
     """
-    num, den = fr.numerator, fr.denominator
-    scaled = num << prec
-    lo_man = scaled // den  # floor works for either sign
-    hi_man = lo_man if lo_man * den == scaled else lo_man + 1
-    with _iv_prec(prec + 8):
-        return iv.mpf([_exact_mpf(lo_man, -prec), _exact_mpf(hi_man, -prec)])
+    a2, b2 = a * a, b * b
+    p = (a << bits) // b
+    s = 0
+    k = 1  # 2j + 1
+    while p:
+        s += p // k
+        p = p * a2 // b2
+        k += 2
+    return s, k + 1  # k + 1 = 2J + 2
+
+
+@lru_cache(maxsize=32)
+def _log2_log3(bits: int) -> tuple[int, int, int, int]:
+    """(lo2, hi2, lo3, hi3) with lo2 <= 2^bits * log 2 <= hi2, and the same
+    for log 3, from log 2 = 2 atanh(1/3) and log 3 = log 2 + 2 atanh(1/5)."""
+    s3, n3 = _atanh_floor(1, 3, bits)
+    s5, n5 = _atanh_floor(1, 5, bits)
+    lo2, hi2 = 2 * s3, 2 * (s3 + n3)
+    return lo2, hi2, lo2 + 2 * s5, hi2 + 2 * (s5 + n5)
+
+
+def _working_bits(prec: int, e: int) -> int:
+    """Series precision for a ``prec``-bit result of log3(2^e * r').
+
+    In units of 2^-bits, each atanh sum is off by less than 2J + 2 <= bits,
+    so e log 2 + 2 atanh(x) is off by at most 2(|e| + 1) bits and log 3 by
+    4 bits, and the quotient is known to within 5(|e| + 1) bits.  The
+    4 + bit_length((|e| + 1) prec) guard bits make that less than 2^-prec
+    whenever |e| < 2^prec, since then bits <= 3 prec.
+    """
+    return prec + ((abs(e) + 1) * prec).bit_length() + 4
 
 
 def alpha0_bounds(prec: int) -> tuple[Fraction, Fraction]:
-    """Exact bounds lo < log3(2) = log 2 / log 3 < hi at ``prec`` bits."""
-    with _iv_prec(prec):
-        return _endpoints(iv.log(2) / iv.log(3))
+    """Exact bounds lo < log3(2) = log 2 / log 3 < hi at ``prec`` bits.
+
+    log 2 in [1/2, 1) and log 3 in [1, 2) are each rounded outward to
+    ``prec`` significant bits, and their quotient, in [1/2, 1), is rounded
+    outward to ``prec`` bits again: the three roundings of ``prec``-bit
+    interval arithmetic.  They leave lo and hi at most 3 * 2^-prec apart,
+    which sets how many continued-fraction quotients (78 at 256 bits) and
+    which power comparisons each precision of an escalation certifies.
+    """
+    bits = _working_bits(prec, 1)
+    lo2, hi2, lo3, hi3 = _log2_log3(bits)
+    shift = bits - prec
+    lo2, hi2 = lo2 >> shift, -(-hi2 >> shift)  # units of 2^-prec
+    lo3, hi3 = lo3 >> (shift + 1), -(-hi3 >> (shift + 1))  # units of 2^(1-prec)
+    lo = (lo2 << (prec - 1)) // hi3
+    hi = -(-(hi2 << (prec - 1)) // lo3)
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
 
 
 def log3_bounds(value: int | Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Exact bounds lo <= log3(value) <= hi for a positive exact rational.
 
     The bounds are the single point (e, e) when value = 3^e for an integer
-    e; otherwise they come from a ``prec``-bit interval evaluation.
+    e.  Otherwise value = 2^e * n/d with n/d in [1, 2), so
+    log(value) = e log 2 + 2 atanh((n - d)/(n + d)) with (n - d)/(n + d) in
+    [0, 1/3); the series enclosures are divided by that of log 3 and the
+    quotient rounded outward to multiples of 2^-prec, at most 3 * 2^-prec
+    apart.
     """
     fr = Fraction(value)
     if fr <= 0:
@@ -130,8 +159,19 @@ def log3_bounds(value: int | Fraction, prec: int) -> tuple[Fraction, Fraction]:
         e = math_floor_log3(n * d) * (1 if d == 1 else -1)
         if Fraction(3) ** e == fr:
             return Fraction(e), Fraction(e)
-    with _iv_prec(prec):
-        return _endpoints(iv.log(_fraction_to_iv(fr, prec)) / iv.log(3))
+    e = n.bit_length() - d.bit_length()
+    n, d = (n, d << e) if e >= 0 else (n << -e, d)
+    if n < d:
+        n, e = n << 1, e - 1
+    bits = _working_bits(prec, e)
+    lo2, hi2, lo3, hi3 = _log2_log3(bits)
+    s, err = _atanh_floor(n - d, n + d, bits)
+    if e < 0:
+        lo2, hi2 = hi2, lo2
+    num_lo, num_hi = e * lo2 + 2 * s, e * hi2 + 2 * (s + err)
+    lo = (num_lo << prec) // (hi3 if num_lo >= 0 else lo3)
+    hi = -(-(num_hi << prec) // (lo3 if num_hi >= 0 else hi3))
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
 
 
 def certified_less_than(

@@ -52,6 +52,12 @@ def iv_endpoints(x) -> tuple[Fraction, Fraction]:
     return ends[0], ends[1]
 
 
+def mp_fraction(x) -> Fraction:
+    """The exact rational value of an mpmath float."""
+    man, exp = x.man_exp  # the mantissa is unsigned
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
 def certified_sign(make: Callable[[int], object]) -> int:
     """Sign of a provably nonzero real given by interval evaluations
     ``make(prec)``; the reference the ladder oracles decide with."""

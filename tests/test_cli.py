@@ -237,6 +237,8 @@ def test_computation_errors_exit_two(capsys):
         ["three-gap", "--N", "10", "--prec", "8"],
         ["three-gap", "--N", "10", "--prec", "0"],
         ["three-gap", "--N", "10", "--prec", "-100"],
+        ["three-gap", "--N", "10", "--prec", "65537"],
+        ["--precision-cap", "512", "three-gap", "--N", "10", "--prec", "513"],
         ["cf", "--depth", "0"],
         ["dimension", "--multipliers", "a"],
         ["dimension", "--multipliers", "1,7", "--prefix-depth", "0"],
@@ -459,7 +461,7 @@ PINNED_STDOUT = {
     ("three-gap", "--N", "123456789", "--offset", "3/97"):
         "c3fc6001bbc75da51b70b8264adfba74985f67778c3b67a81949ad8bcaa85799",
     ("dimension", "--multipliers", "1,7"):
-        "de58492b1c508a2c929d4f01cb38b36a38d40b0517ed22afc4b2de1cfa69da44",
+        "624dc24279eae66b5d66a1e568fa682e75ae7fe20551aec603f76132d10f338e",
     ("scan", "--max-M", "300"):
         "f5887a672cf4cf3b764fa97d1933b1e82e742af34f975128925f888c0c8ec169",
     ("search-n", "--multipliers", "1,4,256", "--max-N", "10"):

@@ -19,11 +19,11 @@ import ternpow.ternary
 
 PACKAGE = Path(ternpow.precision.__file__).parent
 
-# certified enclosures come from precision.py; gaps.py keeps its float sweep
-# and cli.py its mpf serializer until the three-gap spectrum is exact.
-# numpy is not a declared dependency, so no module may import it.
+# certified enclosures are integer series in precision.py; gaps.py keeps its
+# float sweep and cli.py its mpf serializer until the three-gap spectrum is
+# exact.  numpy is not a declared dependency, so no module may import it.
 ALLOWED = {
-    "mpmath": {"precision.py", "orbit/gaps.py", "cli.py"},
+    "mpmath": {"orbit/gaps.py", "cli.py"},
     "sympy": {"cantor/dimension.py", "acceptance.py"},
     "numpy": set(),
 }
@@ -46,10 +46,15 @@ def test_numeric_libraries_stay_behind_their_modules():
         for lib in ALLOWED:
             if lib in roots:
                 importers[lib].add(path.relative_to(PACKAGE).as_posix())
-    assert "precision.py" in importers["mpmath"]  # the walk sees imports
+    assert "cli.py" in importers["mpmath"]  # the walk sees imports
     assert "cantor/dimension.py" in importers["sympy"]  # and imports in functions
     for lib, allowed in ALLOWED.items():
         assert importers[lib] <= allowed, lib
+    # and no module reads mpmath's private float or interval tuples
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not attrs & {"_mpf_", "_mpi_"}, path
 
 
 def test_precision_exports_no_interval_objects():
@@ -64,8 +69,45 @@ def test_precision_exports_no_interval_objects():
         "alpha0_mpf",
         "ulp",
         "precision_cap",
+        "_iv_prec",
+        "_endpoints",
+        "_exact_mpf",
+        "_fraction_to_iv",
     ):
         assert not hasattr(ternpow.precision, name), name
+
+
+def _uses(path: Path, module: str, names: set[str]) -> list[int]:
+    """Lines that read module.name, or import a name from module, for a
+    name in ``names``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+            and node.attr in names
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            if any(alias.name in names for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+_FLOAT_LOGS = {"log", "log2", "log10", "log1p"}
+
+
+def test_float_logs_only_seed_the_exact_floor():
+    # a printed log is read from a certified enclosure; the one float log is
+    # the first guess of math_floor_log3, which exact comparisons correct
+    callers = {
+        path.relative_to(PACKAGE).as_posix(): lines
+        for path in PACKAGE.rglob("*.py")
+        if (lines := _uses(path, "math", _FLOAT_LOGS))
+    }
+    assert set(callers) == {"precision.py"}, callers
+    assert len(callers["precision.py"]) == 1
 
 
 def test_leading_exports_no_window_objects():
@@ -91,27 +133,11 @@ def test_scan_reads_growth_from_the_built_machine():
 _ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
 
 
-def _environment_reads(path: Path) -> list[int]:
-    lines = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "os"
-            and node.attr in _ENVIRONMENT_NAMES
-        ):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            if any(alias.name in _ENVIRONMENT_NAMES for alias in node.names):
-                lines.append(node.lineno)
-    return lines
-
-
 def test_only_the_cli_reads_the_environment():
     readers = {
         path.relative_to(PACKAGE).as_posix(): lines
         for path in PACKAGE.rglob("*.py")
-        if (lines := _environment_reads(path))
+        if (lines := _uses(path, "os", _ENVIRONMENT_NAMES))
     }
     assert "cli.py" in readers  # the walk sees os.environ
     assert set(readers) == {"cli.py"}, readers

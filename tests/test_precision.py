@@ -14,8 +14,7 @@ from ternpow.errors import PrecisionError
 from ternpow.precision import (
     DEFAULT_PRECISION_CAP,
     MIN_PRECISION,
-    _endpoints,
-    _fraction_to_iv,
+    _atanh_floor,
     _power_bracket,
     alpha0_bounds,
     certified_floor,
@@ -28,7 +27,7 @@ from ternpow.precision import (
 )
 from ternpow import census_bound_check, narkiewicz_check
 
-from conftest import certified_sign, iv_endpoints, iv_prec
+from conftest import certified_sign, iv_endpoints, iv_prec, mp_fraction
 
 
 def test_escalate_runs_until_decidable():
@@ -72,41 +71,20 @@ def test_precision_cap_env_and_floor(monkeypatch):
         escalate(lambda prec: "unused", cap=MIN_PRECISION - 1)
 
 
-@given(
-    st.integers(min_value=-(10**18), max_value=10**18).filter(bool),
-    st.integers(min_value=1, max_value=10**18),
-)
-def test_fraction_to_iv_encloses_tightly(num, den):
-    fr = Fraction(num, den)
-    prec = 128
-    lo, hi = iv_endpoints(_fraction_to_iv(fr, prec))
-    assert lo <= fr <= hi
-    assert hi - lo <= Fraction(1, 2**prec)
-
-
-def test_endpoints_are_exact():
-    with mp.workprec(80):
-        x = mp.mpf(3) / 4
-    with iv_prec(80):
-        assert _endpoints(iv.mpf([-5, x])) == (Fraction(-5), Fraction(3, 4))
-        with pytest.raises(ValueError):
-            _endpoints(iv.mpf([0, mp.inf]))
-
-
 def _exact_mpf(man: int, shift: int):
     with mp.workprec(max(abs(man).bit_length(), 8) + 4):
         return mp.mpf(man) * mp.mpf(2) ** shift
 
 
 def _iv_alpha0(prec: int):
-    """The interval enclosure of log3(2) the bounds were read from before."""
+    """mpmath's interval enclosure of log3(2) at ``prec`` bits."""
     with iv_prec(prec):
         return iv.log(2) / iv.log(3)
 
 
 def _iv_log3(value, prec: int):
-    """The interval enclosure of log3(value) the bounds were read from
-    before, with the rational entering as outward-rounded dyadic endpoints."""
+    """mpmath's interval enclosure of log3(value) at ``prec`` bits, with the
+    rational entering as outward-rounded dyadic endpoints."""
     fr = Fraction(value)
     scaled = fr.numerator << prec
     lo_man = scaled // fr.denominator
@@ -134,15 +112,82 @@ def test_alpha0_and_log3_enclosures_bracket_truth():
             log3_bounds(bad, 128)
 
 
-@pytest.mark.parametrize("prec", [128, 256, 1024])
+def _mp_log3(value, prec: int) -> Fraction:
+    """log3(value) from mpmath floats at twice the precision."""
+    fr = Fraction(value)
+    with mp.workprec(2 * prec):
+        return mp_fraction(mp.log(mp.mpf(fr.numerator) / fr.denominator) / mp.log(3))
+
+
+ORACLE_PRECISIONS = [128, 256, 1024, 4096]
+
+
+def _assert_log3_agrees_with_mpmath(value, prec: int) -> None:
+    lo, hi = log3_bounds(value, prec)
+    iv_lo, iv_hi = iv_endpoints(_iv_log3(value, prec))
+    assert lo <= iv_hi and iv_lo <= hi, (value, prec)
+    assert lo <= _mp_log3(value, prec) <= hi, (value, prec)
+    assert hi - lo <= Fraction(4, 2**prec), (value, prec)
+    assert lo.denominator <= 2**prec and hi.denominator <= 2**prec
+
+
+@pytest.mark.parametrize("prec", ORACLE_PRECISIONS)
 def test_bounds_equal_interval_endpoints(prec):
-    assert alpha0_bounds(prec) == iv_endpoints(_iv_alpha0(prec))
-    values = [2, 5, 10, 26, 28, 10**30 + 7, 2**300 + 1]
-    values += [Fraction(3, 2), Fraction(1, 2), Fraction(7, 9), Fraction(8, 3)]
+    # log 2, log 3 and their quotient each rounded outward to prec bits give
+    # the endpoints of mpmath's interval quotient, so escalations over them
+    # (continued fraction, power comparisons) step as interval arithmetic does
+    lo, hi = alpha0_bounds(prec)
+    assert (lo, hi) == iv_endpoints(_iv_alpha0(prec))
+    with mp.workprec(2 * prec):
+        truth = mp_fraction(mp.log(2) / mp.log(3))
+    assert lo < truth < hi
+    assert hi - lo <= Fraction(4, 2**prec)
+    assert lo.denominator <= 2**prec and hi.denominator <= 2**prec
+
+
+def test_alpha0_bounds_at_256_bits_certify_78_quotients():
+    # the count the cf_log3_2 docstring promises for a 256-bit enclosure
+    assert cf_log3_2(78, cap=256).depth == 78
+
+
+@pytest.mark.parametrize("prec", ORACLE_PRECISIONS)
+def test_log3_bounds_agree_with_mpmath_oracle(prec):
+    values = [1 + Fraction(1, 2**300), 1 - Fraction(1, 2**300)]
+    values += [2, Fraction(1, 2), 2**64, Fraction(1, 2**64), 2**1000, Fraction(1, 2**100)]
+    values += [5, 10, 26, 28, 10**30 + 7, 2**300 + 1, Fraction(1, 7), Fraction(8, 3)]
     values += [Fraction(10**20 + 1, 10**20), Fraction(2**257 - 1, 2**256)]
-    values += [Fraction(3**40 + 1, 3**40), Fraction(1, 3**5 + 1)]
+    values += [Fraction(3**40 + 1, 3**40), Fraction(1, 3**5 + 1), 3**40 - 1]
+    values += [1 + Fraction(1, 2**65 * 9)]
     for value in values:
-        assert log3_bounds(value, prec) == iv_endpoints(_iv_log3(value, prec)), value
+        _assert_log3_agrees_with_mpmath(value, prec)
+    # far below 2^-prec the rational's dyadic floor is 0, and an interval
+    # built from it has no finite log; the series reads the rational itself
+    tiny = Fraction(1, 2**1000)
+    lo, hi = log3_bounds(tiny, prec)
+    assert lo <= _mp_log3(tiny, prec) <= hi
+    assert hi - lo <= Fraction(4, 2**prec)
+
+
+@pytest.mark.parametrize("prec", ORACLE_PRECISIONS)
+@given(
+    st.integers(min_value=1, max_value=10**18),
+    st.integers(min_value=1, max_value=10**18),
+)
+def test_log3_bounds_agree_with_mpmath_on_rationals(prec, num, den):
+    _assert_log3_agrees_with_mpmath(Fraction(num, den), prec)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([1, 8, 64, 300]),
+)
+def test_atanh_sum_error_bound(a, b, bits):
+    a = min(a, b // 3)  # a / b <= 1/3
+    s, n = _atanh_floor(a, b, bits)
+    with mp.workprec(2 * bits + 64):
+        truth = mp_fraction(mp.atanh(mp.mpf(a) / b) * mp.mpf(2) ** bits)
+    assert s <= truth < s + n
 
 
 @pytest.mark.parametrize("prec", [128, 256, 1024])

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 
 import ternpow.cantor.search as search
 from ternpow import (
@@ -32,6 +33,8 @@ from ternpow.cantor.search import (
     _distances,
     _is_flush_state,
 )
+
+from conftest import mp_fraction
 
 LOG3_2 = math.log(2) / math.log(3)
 
@@ -61,6 +64,18 @@ def test_trivial_witness():
     assert w.bound_denominator == 1
     assert abs(w.bound - LOG3_2) < 1e-15
     assert w.exhausted
+
+
+def test_bounds_are_the_nearest_floats():
+    # math.log(2) / math.log(3) / d misses the nearest float for 32 of the
+    # d <= 199, from d = 7 on; the bound reads a certified enclosure instead
+    with mp.workprec(300):
+        alpha = mp_fraction(mp.log(2) / mp.log(3))
+    for d in range(1, 200):
+        w = WitnessResult((1,), True, 1, (1,), d, True)
+        assert w.bound == float(alpha / d), d
+    rep = verify_sigma_subsets(6)
+    assert (rep.bound_a, rep.bound_b) == (float(alpha / 2), float(alpha / 6))
 
 
 def test_witness_for_seven():
