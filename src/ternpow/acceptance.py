@@ -176,6 +176,21 @@ def criterion_5_convergent_growth() -> CriterionResult:
     )
 
 
+def _phi_is_root(coeffs) -> bool:
+    """Whether x^2 - x - 1 divides the integer polynomial (coefficients
+    highest degree first).
+
+    Horner's rule evaluates it at phi in Z[phi], carrying a + b*phi as
+    (a, b): phi^2 = phi + 1 turns (a, b) * phi + c into (b + c, a + b).
+    x^2 - x - 1 is monic and phi's minimal polynomial, so it divides
+    exactly when the value is 0.
+    """
+    a = b = 0
+    for c in coeffs:
+        a, b = b + c, a + b
+    return a == b == 0
+
+
 def criterion_6_dimension_gold() -> CriterionResult:
     """The {1,7} machine's growth rate is the golden ratio, certified."""
     t0 = time.perf_counter()
@@ -186,12 +201,7 @@ def criterion_6_dimension_gold() -> CriterionResult:
     contains_phi = (
         est.rho_lo**2 - est.rho_lo - 1 <= 0 <= est.rho_hi**2 - est.rho_hi - 1
     )
-    import sympy
-
-    x = sympy.Symbol("x")
-    cp = exact_charpoly([1, 7])
-    _, rem = sympy.div(cp.as_expr(), x**2 - x - 1, x)
-    charpoly_ok = rem == 0
+    charpoly_ok = _phi_is_root(exact_charpoly([1, 7]))
 
     stable = all(
         hausdorff_dimension([1, 7 * 3**j]) == est for j in (1, 2, 3)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
+from operator import add, truediv
 
 from ..errors import SizeGuardError
 from ..precision import MIN_PRECISION, log3_bounds
@@ -352,26 +352,40 @@ def _slope_gap(counts: tuple[int, ...], value: Fraction) -> float:
     return float(abs((lo + hi) / (2 * r) - value))
 
 
-def exact_charpoly(ms, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Characteristic polynomial of the trimmed adjacency matrix (sympy).
+def exact_charpoly(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - A) of the trimmed adjacency matrix
+    A: its monic integer coefficients, highest degree first.
 
-    Only offered for machines small enough that exact symbolic work stays
-    quick; larger machines raise SizeGuardError.
+    The power sums p_k = tr(A^k), k = 1..n, come from stepping a dense
+    P <- A P over the sparse rows: row i of A P is the sum of P's rows at
+    i's targets, a doubled edge counted twice.  Newton's identities
+    k c_k = -(p_1 c_(k-1) + ... + p_k c_0) then give the coefficients by
+    exact integer division, O(n^3) integer additions in all.  Only offered
+    for machines of at most _CHARPOLY_STATE_LIMIT trimmed states; larger
+    machines raise SizeGuardError.
     """
-    import sympy
-
     built = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
     trimmed = built if built.trimmed else trim(built)
-    if trimmed.num_states > _CHARPOLY_STATE_LIMIT:
-        raise SizeGuardError(
-            f"charpoly limited to {_CHARPOLY_STATE_LIMIT} states, "
-            f"machine has {trimmed.num_states}"
-        )
     n = trimmed.num_states
-    mat = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for t in trimmed.transitions[v]:
-            if t is not None:
-                mat[v][t] += 1
-    x = sympy.Symbol("x")
-    return sympy.Matrix(mat).charpoly(x)
+    if n > _CHARPOLY_STATE_LIMIT:
+        raise SizeGuardError(
+            f"charpoly limited to {_CHARPOLY_STATE_LIMIT} states, machine has {n}"
+        )
+    # every trimmed state keeps one or two targets
+    rows = [[t for t in pair if t is not None] for pair in trimmed.transitions]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    traces = []
+    for _ in range(n):
+        power = [
+            list(map(add, power[row[0]], power[row[1]])) if len(row) == 2 else power[row[0]]
+            for row in rows
+        ]
+        traces.append(sum(power[i][i] for i in range(n)))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        total = -sum(traces[i - 1] * coeffs[k - i] for i in range(1, k + 1))
+        c, rem = divmod(total, k)
+        if rem:
+            raise AssertionError(f"Newton identity: {total} not divisible by {k}")
+        coeffs.append(c)
+    return tuple(coeffs)

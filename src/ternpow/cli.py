@@ -493,18 +493,34 @@ def _cmd_construct(args) -> str:
     )
 
 
+def _format_poly(coeffs: tuple[int, ...]) -> str:
+    """Integer polynomial in x, highest degree first, written as sympy
+    prints it: for example "x**4 - 2*x**3 + x**2 - 1"."""
+    degree = len(coeffs) - 1
+    text = ""
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        d = degree - k
+        if d == 0:
+            term = str(abs(c))
+        else:
+            power = "x" if d == 1 else f"x**{d}"
+            term = power if abs(c) == 1 else f"{abs(c)}*{power}"
+        if not text:
+            text = "-" + term if c < 0 else term
+        else:
+            text += (" - " if c < 0 else " + ") + term
+    return text
+
+
 def _cmd_dimension(args) -> str:
-    ms = args.multipliers
-    est = hausdorff_dimension(
-        ms,
-        prefix_depth=args.prefix_depth,
-        state_limit=args.state_limit,
-    )
+    machine = build_automaton(args.multipliers, args.state_limit)
+    est = hausdorff_dimension(machine, prefix_depth=args.prefix_depth)
     results = _serialize(est)
     results["value"] = est.value
     if args.exact_charpoly:
-        poly = exact_charpoly(ms, state_limit=args.state_limit)
-        results["charpoly"] = str(poly.as_expr())
+        results["charpoly"] = _format_poly(exact_charpoly(machine))
     return _emit_report(
         "dimension",
         args,

@@ -222,6 +222,11 @@ def test_computation_errors_exit_two(capsys):
     # the {1, 7} machine of the scan needs 4 states
     assert main(["--state-limit", "3", "scan", "--max-M", "10"]) == 2
     assert "ternpow: SizeGuardError" in capsys.readouterr().err
+    # the integer charpoly keeps the 64-state guard and its message
+    assert main(["dimension", "--multipliers", "1,997", "--exact-charpoly"]) == 2
+    assert capsys.readouterr().err == (
+        "ternpow: SizeGuardError: charpoly limited to 64 states, machine has 80\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -462,6 +467,10 @@ PINNED_STDOUT = {
         "c3fc6001bbc75da51b70b8264adfba74985f67778c3b67a81949ad8bcaa85799",
     ("dimension", "--multipliers", "1,7"):
         "624dc24279eae66b5d66a1e568fa682e75ae7fe20551aec603f76132d10f338e",
+    ("dimension", "--multipliers", "1,7", "--exact-charpoly"):
+        "05488d33b60c8fa89788f5db7202c2ab047789476e3e44d99c62a8d9993904c9",
+    ("dimension", "--multipliers", "1,4,256", "--exact-charpoly"):
+        "134d84b19b3fdbb74409361c994f273cffd9133b3172ff32d8f3e98c07b64673",
     ("scan", "--max-M", "300"):
         "f5887a672cf4cf3b764fa97d1933b1e82e742af34f975128925f888c0c8ec169",
     ("search-n", "--multipliers", "1,4,256", "--max-N", "10"):

@@ -16,7 +16,9 @@ from ternpow import (
     hausdorff_dimension,
     trim,
 )
+from ternpow.acceptance import _phi_is_root
 from ternpow.cantor.dimension import (
+    _CHARPOLY_STATE_LIMIT,
     FIRST_READING,
     MAX_ITERATIONS,
     TARGET_WIDTH,
@@ -25,9 +27,12 @@ from ternpow.cantor.dimension import (
     growth_components,
     strongly_connected_components,
 )
+from ternpow.cli import _format_poly
 
 LOG3_2 = math.log(2) / math.log(3)
 GOLD = math.log((1 + math.sqrt(5)) / 2) / math.log(3)
+X = sympy.Symbol("x")
+PHI_POLY = sympy.Poly(X**2 - X - 1, X)
 
 
 def test_unconstrained_machine_has_full_dimension():
@@ -84,13 +89,41 @@ def test_known_positive_dimension_without_witness():
     assert 0.1815568 < est.value < 0.1815569
 
 
+def _sympy_charpoly(trimmed):
+    """sympy's characteristic polynomial of the trimmed adjacency matrix."""
+    n = trimmed.num_states
+    adjacency = [[0] * n for _ in range(n)]
+    for v, pair in enumerate(trimmed.transitions):
+        for t in pair:
+            if t is not None:
+                adjacency[v][t] += 1
+    return sympy.Matrix(adjacency).charpoly(X)
+
+
+def test_charpoly_matches_sympy_oracle():
+    # every {1, M} with M <= 1000 small enough for the guard, and a few
+    # multi-multiplier sets: integer coefficients, the printed string and
+    # the Z[phi] divisibility verdict all agree with sympy
+    sets = [[1, m] for m in range(1, 1001)] + [[1], [1, 2], [1, 4, 256], [1, 10, 28]]
+    machines = [trim(build_automaton(ms)) for ms in sets]
+    small = [t for t in machines if t.num_states <= _CHARPOLY_STATE_LIMIT]
+    assert len(small) == 929 + 4
+    for trimmed in small:
+        poly = _sympy_charpoly(trimmed)
+        coeffs = exact_charpoly(trimmed)
+        assert coeffs == tuple(poly.all_coeffs()), trimmed.multipliers
+        assert _format_poly(coeffs) == str(poly.as_expr()), trimmed.multipliers
+        _, rem = poly.div(PHI_POLY)
+        assert _phi_is_root(coeffs) == rem.is_zero, trimmed.multipliers
+
+
 def test_charpoly_golden_machine():
-    x = sympy.Symbol("x")
     cp = exact_charpoly([1, 7])
-    assert cp.as_expr() == x**4 - 2 * x**3 + x**2 - 1
-    quotient, rem = sympy.div(cp.as_expr(), x**2 - x - 1, x)
-    assert rem == 0
-    assert quotient == x**2 - x + 1
+    assert cp == (1, -2, 1, 0, -1)
+    assert _phi_is_root(cp)
+    quotient, rem = sympy.Poly(cp, X).div(PHI_POLY)
+    assert rem.is_zero
+    assert quotient == sympy.Poly(X**2 - X + 1, X)
 
 
 def test_charpoly_size_guard():
@@ -104,7 +137,7 @@ def test_charpoly_root_inside_enclosure():
     for mults in ([1, 7], [1, 52], [1, 11]):
         est = hausdorff_dimension(mults)
         cp = exact_charpoly(mults)
-        top = max(sympy.real_roots(cp.as_expr()))
+        top = max(sympy.real_roots(sympy.Poly(cp, X)))
         assert sympy.Rational(est.rho_lo) <= top <= sympy.Rational(est.rho_hi)
 
 

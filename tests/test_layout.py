@@ -6,7 +6,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import ternpow.cantor.automaton
 import ternpow.cantor.search
@@ -21,10 +25,12 @@ PACKAGE = Path(ternpow.precision.__file__).parent
 
 # certified enclosures are integer series in precision.py; gaps.py keeps its
 # float sweep and cli.py its mpf serializer until the three-gap spectrum is
-# exact.  numpy is not a declared dependency, so no module may import it.
+# exact.  The characteristic polynomial is integer arithmetic in
+# cantor/dimension.py, so sympy is a test oracle only, and numpy is not a
+# declared dependency: no module may import either.
 ALLOWED = {
     "mpmath": {"orbit/gaps.py", "cli.py"},
-    "sympy": {"cantor/dimension.py", "acceptance.py"},
+    "sympy": set(),
     "numpy": set(),
 }
 
@@ -39,6 +45,12 @@ def _imported_roots(path: Path) -> set[str]:
     return roots
 
 
+def test_imports_inside_functions_are_seen(tmp_path):
+    module = tmp_path / "late.py"
+    module.write_text("def f():\n    import sympy.polys\n    from mpmath import mp\n")
+    assert _imported_roots(module) == {"sympy", "mpmath"}
+
+
 def test_numeric_libraries_stay_behind_their_modules():
     importers = {lib: set() for lib in ALLOWED}
     for path in PACKAGE.rglob("*.py"):
@@ -47,7 +59,6 @@ def test_numeric_libraries_stay_behind_their_modules():
             if lib in roots:
                 importers[lib].add(path.relative_to(PACKAGE).as_posix())
     assert "cli.py" in importers["mpmath"]  # the walk sees imports
-    assert "cantor/dimension.py" in importers["sympy"]  # and imports in functions
     for lib, allowed in ALLOWED.items():
         assert importers[lib] <= allowed, lib
     # and no module reads mpmath's private float or interval tuples
@@ -55,6 +66,15 @@ def test_numeric_libraries_stay_behind_their_modules():
         tree = ast.parse(path.read_text(), filename=str(path))
         attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not attrs & {"_mpf_", "_mpi_"}, path
+
+
+def test_runtime_dependencies_are_the_imported_libraries():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]}
+    imported = set().union(*map(_imported_roots, PACKAGE.rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"ternpow"}
+    assert third_party == declared
 
 
 def test_precision_exports_no_interval_objects():
