@@ -11,14 +11,18 @@ k-digit surrogate counting function.
 
 Exact enumeration walks that tree depth-first over the exponents of a range,
 lifting a class only while its new digit is 0 or 1.  Once the modulus
-exceeds the range, a class holds at most one exponent, and that exponent
-alone gets the exact digit check, which reads A * 2^m mod 3^w for doubling
-windows w and never builds A * 2^m itself.  The work grows like X^0.63
-instead of X.  The same walk tallies a sieve report's per-depth counts, and,
-stopped at depth k without leaf checks, the k-digit surrogate count of
-``count_tilde_N``; every count here comes from it.  ``survivor_chain`` builds
-the whole survivor sets per depth and is kept as the reference those counts
-are checked against.
+exceeds the range, a class holds at most one exponent: a leaf at depth d.
+Each node carries A * 2^r modulo 3^W with W = max(2d, 16), so a leaf reads
+its next digits d..W-1 off the value it already holds, with no power of 2
+of its own.  Only the rare leaves whose window omits 2 and does not yet
+cover A * 2^m call ``_omits_two_above``, which reads A * 2^m mod 3^w for
+doubling windows w and never builds A * 2^m itself.  The work grows like
+X^0.63 instead of X.  The same walk tallies a sieve report's per-depth
+counts, and, stopped at depth k without leaf checks (its nodes then carry
+A * 2^r mod 3^k only), the k-digit surrogate count of ``count_tilde_N``;
+every count here comes from it.  ``survivor_chain`` builds the whole
+survivor sets per depth and is kept as the reference those counts are
+checked against.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from .errors import InsufficientDigits
 from .precision import math_floor_log3, power_le
 from .ternary import DyadicRational, int_omits_digit
 
-# the largest X the CLI sieves: about 22 s, growing about 5.3x per decade
-MAX_SIEVE_X = 10**10
+# the largest X the CLI sieves: sieve --max-exponent 10^11 takes about
+# 16 s end to end (10^10 about 4 s), growing about 4x per decade, on a
+# shared 2-vCPU Xeon with Python 3.11
+MAX_SIEVE_X = 10**11
 
 # depth of the per-depth candidate counts in a sieve report
 REPORT_DEPTH = 12
@@ -137,13 +143,18 @@ def _tree_survivors(
 
     A must be positive.  The walk is depth-first over the survivor tree; a
     node is (r, j, v) with r a class mod m_j = 2*3^(j-1), r <= hi, and
-    v = A * 2^r mod 3^depth, where depth is the first level whose modulus
-    exceeds hi, or report_depth if that is deeper.  Lifting r by t * m_j
-    multiplies v by lift[j]^t, so reading a new digit costs one small
-    multiplication.  For A prime to 3 two of every three lifts survive; a
-    factor 3^t of A only adds t zero digits and lets every lift through t
-    levels, so callers that enumerate survivors strip it; the counts hold
-    for any positive A.
+    v = A * 2^r mod 3^window, where depth is the first level whose modulus
+    exceeds hi, or report_depth if that is deeper, and window is
+    max(2 * depth, 16) (depth itself when leaves=False).  Lifting r by
+    t * m_j multiplies v by lift[j]^t, so reading a new digit costs one
+    small multiplication.  A leaf (j = depth) reads digits depth..window-1
+    as v // 3^depth.  A 2 there rejects it; otherwise it is accepted when
+    3^window has more bits than A * 2^r can have, and only the rest go on
+    to _omits_two_above(A, r, window), which starts at the next window.
+    For A prime to 3 two of every three lifts survive; a factor 3^t of A
+    only adds t zero digits and lets every lift through t levels, so
+    callers that enumerate survivors strip it; the counts hold for any
+    positive A.
 
     counts[j-1] (j <= report_depth) is #{n in [0, hi] : the j low digits of
     A * 2^n omit 2}, summed over the surviving classes r at level j, which
@@ -155,8 +166,12 @@ def _tree_survivors(
     depth = max(1, report_depth)
     while leaves and multiplicative_order_pow2(depth) <= hi:
         depth += 1
-    mod = 3**depth
-    pow3 = [3**j for j in range(depth)]
+    # a leaf reads digits depth..window-1 off v, the first window of
+    # _omits_two_above(A, r, depth)
+    window = max(2 * depth, 16) if leaves else depth
+    mod = 3**window
+    top_bits, size_A = mod.bit_length(), A.bit_length()
+    pow3 = [3**j for j in range(depth + 1)]
     order = [0] + [multiplicative_order_pow2(j) for j in range(1, depth + 1)]
     lift = [0] + [pow(2, m, mod) for m in order[1:depth]]
     out = []
@@ -168,7 +183,12 @@ def _tree_survivors(
         if j <= report_depth:
             counts[j - 1] += (hi - r) // order[j] + 1
         if j == depth:
-            if leaves and r >= lo and _omits_two_above(A, r, depth):
+            if (
+                leaves
+                and r >= lo
+                and int_omits_digit(v // pow3[depth], 2)
+                and (top_bits > size_A + r or _omits_two_above(A, r, window))
+            ):
                 out.append(r)
             continue
         step, g = order[j], lift[j]

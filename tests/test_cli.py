@@ -222,10 +222,10 @@ def test_computation_errors_exit_two(capsys):
     # the {1, 7} machine of the scan needs 4 states
     assert main(["--state-limit", "3", "scan", "--max-M", "10"]) == 2
     assert "ternpow: SizeGuardError" in capsys.readouterr().err
-    # the integer charpoly keeps the 64-state guard and its message
-    assert main(["dimension", "--multipliers", "1,997", "--exact-charpoly"]) == 2
+    # the integer charpoly keeps a 256-state guard and its message
+    assert main(["dimension", "--multipliers", "1,14581", "--exact-charpoly"]) == 2
     assert capsys.readouterr().err == (
-        "ternpow: SizeGuardError: charpoly limited to 64 states, machine has 80\n"
+        "ternpow: SizeGuardError: charpoly limited to 256 states, machine has 442\n"
     )
 
 
@@ -264,7 +264,7 @@ def test_computation_errors_exit_two(capsys):
         ["construct", "--levels", "1", "--digit-policy", "smallest"],
         ["construct", "--levels", "1", "--digit-policy", "random:abc"],
         ["construct", "--levels", "1", "--digit-policy", "random:"],
-        ["sieve", "--max-exponent", "10000000001"],
+        ["sieve", "--max-exponent", "100000000001"],
         ["sieve", "--lambda", "3", "--max-exponent", "1" + "0" * 19],
         ["census", "--lambda", "1", "--max", "10000001"],
         ["census", "--lambda", "1", "--max", "1" + "0" * 19],

@@ -100,21 +100,36 @@ def _sympy_charpoly(trimmed):
     return sympy.Matrix(adjacency).charpoly(X)
 
 
+def _check_charpoly_against_sympy(trimmed):
+    poly = _sympy_charpoly(trimmed)
+    coeffs = exact_charpoly(trimmed)
+    assert coeffs == tuple(poly.all_coeffs()), trimmed.multipliers
+    assert _format_poly(coeffs) == str(poly.as_expr()), trimmed.multipliers
+    _, rem = poly.div(PHI_POLY)
+    assert _phi_is_root(coeffs) == rem.is_zero, trimmed.multipliers
+
+
 def test_charpoly_matches_sympy_oracle():
-    # every {1, M} with M <= 1000 small enough for the guard, and a few
+    # every {1, M} with M <= 1000 and at most 64 trimmed states, and a few
     # multi-multiplier sets: integer coefficients, the printed string and
     # the Z[phi] divisibility verdict all agree with sympy
     sets = [[1, m] for m in range(1, 1001)] + [[1], [1, 2], [1, 4, 256], [1, 10, 28]]
     machines = [trim(build_automaton(ms)) for ms in sets]
-    small = [t for t in machines if t.num_states <= _CHARPOLY_STATE_LIMIT]
+    small = [t for t in machines if t.num_states <= 64]
     assert len(small) == 929 + 4
     for trimmed in small:
-        poly = _sympy_charpoly(trimmed)
-        coeffs = exact_charpoly(trimmed)
-        assert coeffs == tuple(poly.all_coeffs()), trimmed.multipliers
-        assert _format_poly(coeffs) == str(poly.as_expr()), trimmed.multipliers
-        _, rem = poly.div(PHI_POLY)
-        assert _phi_is_root(coeffs) == rem.is_zero, trimmed.multipliers
+        _check_charpoly_against_sympy(trimmed)
+
+
+def test_charpoly_matches_sympy_oracle_up_to_guard():
+    # machines of 65 to _CHARPOLY_STATE_LIMIT trimmed states, the last at
+    # the guard itself
+    sizes = {769: 72, 997: 80, 1459: 128, 4998: 104, 4990: 211, 4375: 256}
+    for m, n in sizes.items():
+        trimmed = trim(build_automaton([1, m]))
+        assert trimmed.num_states == n
+        _check_charpoly_against_sympy(trimmed)
+    assert max(sizes.values()) == _CHARPOLY_STATE_LIMIT
 
 
 def test_charpoly_golden_machine():
@@ -127,8 +142,9 @@ def test_charpoly_golden_machine():
 
 
 def test_charpoly_size_guard():
+    # {1, 14581} trims to 442 states
     with pytest.raises(SizeGuardError):
-        exact_charpoly([1, 997])
+        exact_charpoly([1, 14581])
 
 
 def test_charpoly_root_inside_enclosure():

@@ -163,6 +163,107 @@ def test_tree_reaches_large_bounds():
     assert enumerate_digit2free_powers(10**6) == [0, 2, 8]
 
 
+def _per_leaf_tree_survivors(
+    A: int, lo: int, hi: int, report_depth: int = 0
+) -> tuple[list[int], list[int]]:
+    """Oracle for the full walk: nodes carry A * 2^r mod 3^depth only, and
+    every leaf pays a fresh exact check from its depth known digits."""
+    counts = [0] * report_depth
+    if hi < lo:
+        return [], counts
+    depth = max(1, report_depth)
+    while multiplicative_order_pow2(depth) <= hi:
+        depth += 1
+    mod = 3**depth
+    order = [0] + [multiplicative_order_pow2(j) for j in range(1, depth + 1)]
+    out = []
+    stack = [(r, 1, A * pow(2, r, mod) % mod) for r in (0, 1) if r <= hi]
+    while stack:
+        r, j, v = stack.pop()
+        if v // 3 ** (j - 1) % 3 == 2:
+            continue
+        if j <= report_depth:
+            counts[j - 1] += (hi - r) // order[j] + 1
+        if j == depth:
+            if r >= lo and ternpow.sieve._omits_two_above(A, r, depth):
+                out.append(r)
+            continue
+        g = pow(2, order[j], mod)
+        for n in range(r, min(r + 3 * order[j], hi + 1), order[j]):
+            stack.append((n, j + 1, v))
+            v = v * g % mod
+    out.sort()
+    return out, counts
+
+
+# A whose 60 low digits omit 2: A * 2^0 survives only through the leaf's
+# fallback past its first window, and A + 2 * 3^70 fails there
+_LONG_FREE = int("1" * 60, 3)
+_WALK_CASES = (
+    # A = 1 below, at and across the depth-7 modulus 1458, where the
+    # first window is 16 digits, more than twice the depth
+    [(1, 0, hi, 0) for hi in (0, 1, 2, 7, 8, 9, 100, 1457, 1458, 4374, 20_000)]
+    # lo > 0, and report depths before, at and beyond the leaf depth
+    + [(1, 3, 20_000, 0), (1, 9, 600, 5), (7, 100, 4374, 9), (5, 1, 4374, 12)]
+    + [(1, 0, 1000, 20), (11, 0, 30_000, 12)]
+    # factors 3^t, which callers strip and the walk lets through t levels
+    + [(3**5 * 7, 0, 5000, 12), (3**9, 0, 3000, 0), (3**3, 1, 40_000, 6)]
+    # A with more digits than twice the leaf depth
+    + [(_LONG_FREE, 0, 2000, 0), (_LONG_FREE + 2 * 3**70, 0, 2000, 8)]
+    + [(3**60 + 1, 0, 3000, 0), (2**200 + 1, 5, 4000, 0)]
+)
+
+
+def test_tree_walk_matches_per_leaf_check_oracle():
+    for A, lo, hi, report_depth in _WALK_CASES:
+        got = ternpow.sieve._tree_survivors(A, lo, hi, report_depth)
+        assert got == _per_leaf_tree_survivors(A, lo, hi, report_depth), (A, lo, hi)
+    assert _per_leaf_tree_survivors(_LONG_FREE, 0, 2000)[0][0] == 0
+    assert 0 not in _per_leaf_tree_survivors(_LONG_FREE + 2 * 3**70, 0, 2000)[0]
+    rng = random.Random(20261019)
+    for _ in range(60):
+        A = rng.randrange(1, 10**rng.randint(1, 40), 2)
+        lo = rng.choice((0, 1, rng.randint(0, 5000)))
+        hi = rng.randint(0, 20_000)
+        report_depth = rng.choice((0, 1, 6, 12, 14))
+        got = ternpow.sieve._tree_survivors(A, lo, hi, report_depth)
+        assert got == _per_leaf_tree_survivors(A, lo, hi, report_depth), (A, lo, hi)
+
+
+def test_leaf_falls_back_only_past_its_first_window(monkeypatch):
+    # _omits_two_above runs for exactly the leaves whose first window of
+    # max(2 * depth, 16) digits omits 2 and does not yet cover A * 2^r
+    calls = []
+    original = ternpow.sieve._omits_two_above
+
+    def record(A, m, known):
+        calls.append((A, m, known))
+        return original(A, m, known)
+
+    monkeypatch.setattr(ternpow.sieve, "_omits_two_above", record)
+    for A, lo, hi in ((1, 0, 1000), (1, 0, 20_000), (7, 50, 5000), (_LONG_FREE, 0, 2000)):
+        calls.clear()
+        depth = 1
+        while multiplicative_order_pow2(depth) <= hi:
+            depth += 1
+        window = max(2 * depth, 16)
+        want = []
+        for r in range(lo, hi + 1):
+            low = A * pow(2, r, 3**window) % 3**window
+            if (
+                int_omits_digit(low, 2)
+                and (3**window).bit_length() <= A.bit_length() + r
+            ):
+                want.append((A, r, window))
+        got = ternpow.sieve._tree_survivors(A, lo, hi)[0]
+        assert sorted(calls) == want, (A, lo, hi)
+        assert got == _per_leaf_tree_survivors(A, lo, hi)[0]
+    # below 1458 the 16-digit window holds every 2^r with r < 25
+    calls.clear()
+    assert enumerate_digit2free_powers(24) == [0, 2, 8]
+    assert calls == []
+
+
 def test_sieve_report_frozen_run():
     rep = sieve_report(4374)
     assert rep.bound == 4374
@@ -405,11 +506,21 @@ def test_surrogate_count_matches_leaf_walk():
 
 
 def test_count_only_walk_checks_no_leaf(monkeypatch):
+    # a leaf reads its first window with int_omits_digit and only then may
+    # call _omits_two_above; count_tilde_N itself reads the residue once
     def refuse(*args):
         raise AssertionError("leaf checked")
 
+    read = []
+
+    def count_reads(n, digit):
+        read.append(n)
+        return int_omits_digit(n, digit)
+
     monkeypatch.setattr(ternpow.sieve, "_omits_two_above", refuse)
+    monkeypatch.setattr(ternpow.sieve, "int_omits_digit", count_reads)
     assert count_tilde_N(PadicApprox.from_int(1, 24), 10_000).count == 205
+    assert read == [1]
 
 
 def test_surrogate_requires_enough_digits():
