@@ -79,7 +79,6 @@ from .cantor import (
     hausdorff_dimension,
     scan_problems,
     smallest_witness,
-    theorem17_search,
     trim,
     verify_sigma_subsets,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "GreedyElement",
     "greedy_element",
     "WitnessResult",
-    "theorem17_search",
     "smallest_witness",
     "SigmaSubsetReport",
     "verify_sigma_subsets",

@@ -20,7 +20,7 @@ from .cantor import (
     greedy_element,
     hausdorff_dimension,
     scan_problems,
-    theorem17_search,
+    smallest_witness,
     trim,
     verify_sigma_subsets,
 )
@@ -278,7 +278,7 @@ def criterion_9_subset_chain() -> CriterionResult:
     sigma_ok = all(
         r.sigma_a_all_accepted and r.sigma_b_all_accepted for r in reps
     )
-    w = theorem17_search([1, 4, 256], 10)
+    w = smallest_witness([1, 4, 256])
     # the bound is log3(2) / bound_denominator, so the denominator pins it
     witness_ok = w.found and w.n == 1 and w.bound_denominator == 6
     est = hausdorff_dimension([1, 4])

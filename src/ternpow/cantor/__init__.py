@@ -19,7 +19,6 @@ from .search import (
     greedy_element,
     scan_problems,
     smallest_witness,
-    theorem17_search,
     verify_sigma_subsets,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "exact_charpoly",
     "greedy_element",
     "GreedyElement",
-    "theorem17_search",
     "smallest_witness",
     "WitnessResult",
     "verify_sigma_subsets",

@@ -4,8 +4,8 @@ Membership of M in the "some positive integer survives" class is decidable:
 a positive N with both N and every M_i*N digit-2-free corresponds to a walk
 of the carry machine ending in digit 1 whose final carry tuple consists of
 digit-2-free integers (the carries are exactly the unwritten high digits of
-the products).  The bounded ascending search is kept alongside as an
-independent oracle and as the contract-level entry point.
+the products).  That decision is the only witness search: a miss proves
+that no N exists at any size.
 
 The class scan builds no machine for most multipliers.  It steps the one
 carry of M as a plain integer: a single breadth-first search gives every
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..precision import MIN_PRECISION, alpha0_bounds, math_floor_log3
-from ..ternary import count_free_upto, int_omits_digit, int_to_digits, nth_free
+from ..ternary import int_omits_digit
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
@@ -36,9 +36,6 @@ from .automaton import (
 from .dimension import has_growth
 
 DEFAULT_SCAN_LIMIT = 3000
-# the bounded search tests about N^0.63 candidates below N: 10^10 takes
-# about 13 s
-MAX_SEARCH_N = 10**10
 
 
 def _log3_2_over(d: int) -> float:
@@ -61,9 +58,8 @@ class WitnessResult:
     """Smallest positive N with N and all M_i*N digit-2-free, if any.
 
     bound = log3(2) / ceil(log3(N * M_k)) is the dimension lower bound the
-    witness certifies.  exhausted tells how a miss should be read: True
-    means the reachability decision proved no N exists at any size, False
-    means only that none appeared below the search ceiling.
+    witness certifies.  found is decided exactly by carry reachability, so
+    a miss means no N exists at any size.
     """
 
     multipliers: tuple[int, ...]
@@ -71,8 +67,6 @@ class WitnessResult:
     n: int | None
     digits: tuple[int, ...] | None
     bound_denominator: int | None
-    exhausted: bool
-    checked_up_to: int | None = None
 
     @property
     def bound(self) -> float | None:
@@ -146,7 +140,6 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
             n=None,
             digits=None,
             bound_denominator=None,
-            exhausted=True,
         )
 
     # allowed: the states at distance <= j from which the digits already
@@ -181,41 +174,6 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
         n=n,
         digits=tuple(digits),
         bound_denominator=_bound_denominator(n, a.multipliers[-1]),
-        exhausted=True,
-    )
-
-
-def theorem17_search(ms, n_max: int) -> WitnessResult:
-    """Bounded ascending search for the smallest witness N <= n_max.
-
-    Runs over digit-2-free N in increasing order and tests every product
-    directly on integers; a miss only says no witness exists below n_max.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not isinstance(ms, MultiplierSet):
-        ms = MultiplierSet.of(ms)
-    mults = ms.normalized().multipliers
-    for t in range(1, count_free_upto(n_max)):
-        n = nth_free(t)
-        if all(int_omits_digit(n * m, 2) for m in mults):
-            return WitnessResult(
-                multipliers=mults,
-                found=True,
-                n=n,
-                digits=int_to_digits(n),
-                bound_denominator=_bound_denominator(n, mults[-1]),
-                exhausted=False,
-                checked_up_to=n_max,
-            )
-    return WitnessResult(
-        multipliers=mults,
-        found=False,
-        n=None,
-        digits=None,
-        bound_denominator=None,
-        exhausted=False,
-        checked_up_to=n_max,
     )
 
 

@@ -36,11 +36,11 @@ from .cantor import (
     hausdorff_dimension,
     scan_problems,
     smallest_witness,
-    theorem17_search,
     trim,
 )
+from .cantor.automaton import DEFAULT_STATE_LIMIT
 from .cantor.dimension import DEFAULT_PREFIX_DEPTH, MAX_PREFIX_DEPTH
-from .cantor.search import DEFAULT_SCAN_LIMIT, MAX_SEARCH_N
+from .cantor.search import DEFAULT_SCAN_LIMIT
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
 from .orbit.gaps import DEFAULT_GAP_PRECISION, MAX_BRUTE_N, three_gap_bruteforce
@@ -217,8 +217,8 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--state-limit",
         type=_int_at_least(1),
-        default=1_000_000,
-        help="carry-machine state guard (default 1000000)",
+        default=DEFAULT_STATE_LIMIT,
+        help=f"carry-machine state guard (default {DEFAULT_STATE_LIMIT})",
     )
     parser.add_argument(
         "--threads",
@@ -306,7 +306,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
     )
-    p.add_argument("--exact-charpoly", action="store_true")
+    p.add_argument("--exact-charpoly", dest="charpoly", action="store_true")
     p.add_argument(
         "--prefix-depth",
         type=_int_at_least(1, at_most=MAX_PREFIX_DEPTH),
@@ -337,18 +337,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--multipliers", type=_parse_multipliers, required=True, metavar="M1,M2,..."
-    )
-    p.add_argument(
-        "--max-N",
-        dest="max_n",
-        type=_int_at_least(1, at_most=MAX_SEARCH_N),
-        default=10_000,
-        help=f"search ceiling, at most {MAX_SEARCH_N}",
-    )
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="decide existence by reachability instead of stopping at --max-N",
     )
 
     p = sub.add_parser(
@@ -519,7 +507,7 @@ def _cmd_dimension(args) -> str:
     est = hausdorff_dimension(machine, prefix_depth=args.prefix_depth)
     results = _serialize(est)
     results["value"] = est.value
-    if args.exact_charpoly:
+    if args.charpoly:
         results["charpoly"] = _format_poly(exact_charpoly(machine))
     return _emit_report(
         "dimension",
@@ -565,11 +553,7 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_search_n(args) -> str:
-    ms = args.multipliers
-    if args.exact:
-        res = smallest_witness(ms, state_limit=args.state_limit)
-    else:
-        res = theorem17_search(ms, args.max_n)
+    res = smallest_witness(args.multipliers, state_limit=args.state_limit)
     results = _serialize(res)
     results["bound"] = res.bound
     if res.digits is not None:

@@ -14,7 +14,6 @@ import pytest
 from mpmath import mp
 
 from ternpow import acceptance, hausdorff_dimension, scan_problems
-from ternpow.cantor.search import MAX_SEARCH_N
 from ternpow.cli import _INLINE_INT_LIMIT, _parse_args, _serialize, dispatch, main
 from ternpow.errors import PrecisionError
 from ternpow.orbit.gaps import MAX_BRUTE_N
@@ -109,12 +108,15 @@ def test_scan_csv_format():
 
 
 def test_search_n_digits_render_most_significant_first():
-    payload = _run(["search-n", "--multipliers", "7", "--max-N", "100"])
+    payload = _run(["search-n", "--multipliers", "7"])
     assert payload["results"]["n"] == 4
     assert payload["results"]["digits"] == "11"
-    exact = _run(["search-n", "--multipliers", "1,52", "--exact"])
-    assert exact["results"]["found"] is False
-    assert exact["results"]["exhausted"] is True
+    # a miss is a proof: no search ceiling or exhaustion flag is printed
+    miss = _run(["search-n", "--multipliers", "1,52"])
+    assert miss["results"]["found"] is False
+    assert set(miss["results"]) == {
+        "bound", "bound_denominator", "digits", "found", "multipliers", "n"
+    }
 
 
 def test_three_gap_offset_invariance_in_output():
@@ -130,10 +132,6 @@ def test_three_gap_brute_check_flag():
 
 
 def test_search_and_brute_bounds_are_inclusive():
-    # a witness at N = 1 ends the search at once, whatever the ceiling
-    payload = _run(["search-n", "--multipliers", "1,4,256", "--max-N", str(MAX_SEARCH_N)])
-    assert payload["results"]["n"] == 1
-    assert payload["results"]["checked_up_to"] == MAX_SEARCH_N
     # parsing alone: a run at each bound takes seconds
     assert _parse_args(["three-gap", "--N", str(MAX_BRUTE_N), "--brute-check"]).N == MAX_BRUTE_N
     assert _parse_args(["sieve", "--max-exponent", str(MAX_SIEVE_X)]).max_exponent == MAX_SIEVE_X
@@ -222,6 +220,9 @@ def test_computation_errors_exit_two(capsys):
     # the {1, 7} machine of the scan needs 4 states
     assert main(["--state-limit", "3", "scan", "--max-M", "10"]) == 2
     assert "ternpow: SizeGuardError" in capsys.readouterr().err
+    # the witness search builds the same machine under the same guard
+    assert main(["--state-limit", "3", "search-n", "--multipliers", "1,7"]) == 2
+    assert "ternpow: SizeGuardError" in capsys.readouterr().err
     # the integer charpoly keeps a 256-state guard and its message
     assert main(["dimension", "--multipliers", "1,14581", "--exact-charpoly"]) == 2
     assert capsys.readouterr().err == (
@@ -251,9 +252,9 @@ def test_computation_errors_exit_two(capsys):
         ["dimension", "--multipliers", "1", "--prefix-depth", "10001"],
         ["dimension", "--multipliers", "1", "--prefix-depth", "14300"],
         ["export-automaton", "--multipliers", "1,-2"],
-        ["search-n", "--multipliers", "7", "--max-N", "0"],
-        ["search-n", "--multipliers", "7", "--max-N", "10000000001"],
-        ["search-n", "--multipliers", "7", "--max-N", "1" + "0" * 15],
+        ["search-n", "--multipliers", "7", "--max-N", "100"],
+        ["search-n", "--multipliers", "7", "--exact"],
+        ["search-n"],
         ["three-gap", "--N", "100001", "--brute-check"],
         ["three-gap", "--brute-check", "--N", "1000000000000"],
         ["scan", "--max-M", "0"],
@@ -473,11 +474,11 @@ PINNED_STDOUT = {
         "134d84b19b3fdbb74409361c994f273cffd9133b3172ff32d8f3e98c07b64673",
     ("scan", "--max-M", "300"):
         "f5887a672cf4cf3b764fa97d1933b1e82e742af34f975128925f888c0c8ec169",
-    ("search-n", "--multipliers", "1,4,256", "--max-N", "10"):
-        "e706865330530646a896fad79331a2f5b680c65f0bf899cc3c83315cf4f16722",
-    # no witness below the bound: the whole enumeration runs
-    ("search-n", "--multipliers", "4,7", "--max-N", "100000"):
-        "82069439164e211642fd729011cb3d0d27881274f4cfcbcfff94b94db5dd4620",
+    ("search-n", "--multipliers", "1,4,256"):
+        "04cc8f3d247cb2872458c17d7b9f306d22aa639cd6285584bf836df748cf5337",
+    # no witness at any size
+    ("search-n", "--multipliers", "4,7"):
+        "996ed643d6d0d2576312d15a38905bac49e5686a270e0f8919ced1e71df26605",
 }
 
 

@@ -192,6 +192,12 @@ def test_replaced_paths_are_gone():
     assert not hasattr(ternpow.sieve, "residue_survivors")
     assert not hasattr(ternpow, "residue_survivors")
     assert not hasattr(ternpow.cantor.search, "_free_integers_ascending")
+    # one witness search: the exact decision, whose misses are proofs
+    for name in ("theorem17_search", "MAX_SEARCH_N"):
+        assert not hasattr(ternpow.cantor.search, name), name
+        assert not hasattr(ternpow, name), name
+    witness_fields = dataclasses.fields(ternpow.cantor.search.WitnessResult)
+    assert not {"exhausted", "checked_up_to"} & {f.name for f in witness_fields}
     # stdout depends on argv alone: no run config, and the scan is serial
     assert not hasattr(ternpow.cli, "RunConfig")
     scan = inspect.signature(ternpow.cantor.search.scan_problems).parameters

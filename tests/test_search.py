@@ -20,7 +20,6 @@ from ternpow import (
     int_omits_digit,
     scan_problems,
     smallest_witness,
-    theorem17_search,
     trim,
     verify_sigma_subsets,
 )
@@ -63,7 +62,6 @@ def test_trivial_witness():
     assert w.digits == (1,)
     assert w.bound_denominator == 1
     assert abs(w.bound - LOG3_2) < 1e-15
-    assert w.exhausted
 
 
 def test_bounds_are_the_nearest_floats():
@@ -72,7 +70,9 @@ def test_bounds_are_the_nearest_floats():
     with mp.workprec(300):
         alpha = mp_fraction(mp.log(2) / mp.log(3))
     for d in range(1, 200):
-        w = WitnessResult((1,), True, 1, (1,), d, True)
+        w = WitnessResult(
+            multipliers=(1,), found=True, n=1, digits=(1,), bound_denominator=d
+        )
         assert w.bound == float(alpha / d), d
     rep = verify_sigma_subsets(6)
     assert (rep.bound_a, rep.bound_b) == (float(alpha / 2), float(alpha / 6))
@@ -110,41 +110,74 @@ def test_witness_respects_all_multipliers():
 
 
 def test_no_witness_classes_are_decided():
-    # 2 mod 3 multipliers reject every nonzero string
-    w = smallest_witness([1, 2])
-    assert not w.found and w.exhausted
-    # 52 spans a positive-dimension set with no witness at any size
-    w52 = smallest_witness([1, 52])
-    assert not w52.found and w52.exhausted
+    # 2 mod 3 multipliers reject every nonzero string; 52 spans a
+    # positive-dimension set with no witness at any size
+    for mults in ((1, 2), (1, 52), (1, 4, 7)):
+        assert not _check_against_bounded_search(mults).found
+
+
+def _check_against_bounded_search(mults, limit=3**10):
+    """smallest_witness agrees with the brute walk over N <= limit: the same
+    N when its witness is at most limit, no N below limit otherwise."""
+    w = smallest_witness(mults)
+    brute = _brute_smallest_witness(mults, limit)
+    if w.found and w.n <= limit:
+        assert brute == w.n, mults
+    else:
+        assert brute is None, mults
+    return w
 
 
 def test_bounded_search_known_results():
-    w = theorem17_search([1, 4, 256], 10)
+    assert _brute_smallest_witness((1, 4, 256), 10) == 1
+    w = _check_against_bounded_search((1, 4, 256))
     assert w.found and w.n == 1
     assert w.bound_denominator == 6
     assert abs(w.bound - LOG3_2 / 6) < 1e-15
 
-    w7 = theorem17_search([7], 100)
+    assert _brute_smallest_witness((1, 7), 100) == 4
+    w7 = _check_against_bounded_search((7,))
     assert (w7.n, w7.bound_denominator) == (4, 4)
-
-    miss = theorem17_search([1, 52], 1000)
-    assert not miss.found and not miss.exhausted
-    assert miss.checked_up_to == 1000
 
 
 def test_bounded_search_agrees_with_exact_decision():
     for m in (5, 7, 10, 13, 16, 46):
-        exact = smallest_witness([1, m])
-        bounded = theorem17_search([1, m], 3**10)
-        if exact.found and exact.n <= 3**10:
-            assert bounded.found and bounded.n == exact.n
+        _check_against_bounded_search((1, m))
+
+
+def test_smallest_witness_matches_brute_force_on_larger_sets():
+    # half the sets are drawn uniformly and rarely admit a witness; the
+    # other half share a planted N <= 3^10, so smallest_witness has an N
+    # at most that large to find
+    rng = random.Random(21)
+    planted = _free_integers(3**10)[1:]
+    above_one = missed = 0
+    for i in range(80):
+        k = rng.choice((3, 4))
+        if i % 2:
+            mults = rng.sample(range(1, 301), k)
         else:
-            assert not bounded.found
+            good = []
+            while len(good) < k:
+                n = rng.choice(planted)
+                good = [m for m in range(1, 301) if int_omits_digit(n * m, 2)]
+            mults = rng.sample(good, k)
+        w = _check_against_bounded_search(mults)
+        if w.found:
+            above_one += w.n > 1
+        else:
+            missed += 1
+    assert above_one >= 10 and missed >= 10, (above_one, missed)
 
 
 def test_bounded_search_validation():
-    with pytest.raises(ValueError):
-        theorem17_search([1, 7], 0)
+    # the witness search is bounded by the machine's state guard alone
+    with pytest.raises(SizeGuardError):
+        smallest_witness([1, 7], state_limit=3)
+    assert smallest_witness([1, 7], state_limit=4).n == 4
+    for bad in ([], [0, 7], [1, -2]):
+        with pytest.raises(ValueError):
+            smallest_witness(bad)
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -346,7 +379,7 @@ def _parent_smallest_witness(ms):
                     seen.add(t)
                     nxt.add(t)
         if not nxt:
-            return WitnessResult(a.multipliers, False, None, None, None, True)
+            return WitnessResult(a.multipliers, False, None, None, None)
         layers.append(nxt)
     exact = [{0}]
     for _ in range(best_len - 1):
@@ -363,7 +396,7 @@ def _parent_smallest_witness(ms):
             allowed = preimage(1, allowed)
     n = sum(d * 3**j for j, d in enumerate(digits))
     return WitnessResult(
-        a.multipliers, True, n, tuple(digits), _bound_denominator(n, a.multipliers[-1]), True
+        a.multipliers, True, n, tuple(digits), _bound_denominator(n, a.multipliers[-1])
     )
 
 
