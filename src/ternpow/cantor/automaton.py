@@ -130,7 +130,7 @@ def build_automaton(
     States are numbered in breadth-first order of discovery, digit 0 before
     digit 1.  The implicit multiplier 1 emits the input digit itself and
     always keeps carry 0, so only the other carries are stepped, and a
-    set {1, m} steps its one other carry as a plain int.
+    set {1, m} steps its one other carry as a plain int (pair_carries).
     """
     if not isinstance(ms, MultiplierSet):
         ms = MultiplierSet.of(ms)
@@ -171,33 +171,52 @@ def build_automaton(
     )
 
 
+def pair_carries(m: int, state_limit: int) -> tuple[dict[int, int], list[int]]:
+    """The one breadth-first search over the carry of m in the {1, m}
+    machine: the distance from carry 0 of every reachable carry, keyed by
+    the carry, and the reachable carries in the order the search reached
+    them.
+
+    From carry c, digit d is allowed iff (c + d*m) % 3 != 2 and leads to
+    (c + d*m) // 3; digit 0 is tried before digit 1.  The order is first-in
+    first-out, so distances never decrease along it.  Discovery past
+    state_limit raises SizeGuardError, so the search never holds more than
+    state_limit carries, however large m is.
+    """
+    dist = {0: 0}
+    order = [0]
+    for c in order:
+        dc = dist[c] + 1
+        for t in (c, c + m):
+            if t % 3 != 2:
+                t //= 3
+                if t not in dist:
+                    if len(order) >= state_limit:
+                        raise _too_many(MultiplierSet.of((1, m)), state_limit)
+                    dist[t] = dc
+                    order.append(t)
+    return dist, order
+
+
 def _build_pair(ms: MultiplierSet, state_limit: int) -> CarryAutomaton:
-    """build_automaton for a normalized {1, m}: the same breadth-first
-    search on the single int carry c of m, so the same states in the same
-    order.  Digit 0 leads to c // 3 unless c = 2 mod 3, and digit 1 to
-    (c + m) // 3 unless c + m = 2 mod 3."""
+    """build_automaton for a normalized {1, m}: the states are the carries
+    of m in pair_carries' order, which is build_automaton's order."""
     m = ms.multipliers[1]
-    index = {0: 0}
-    carries = [0]
-    transitions: list[tuple[int | None, int | None]] = []
-    for c in carries:
-        pair: list[int | None] = [None, None]
-        for d, t in enumerate((c, c + m)):
-            if t % 3 == 2:
-                continue
-            nxt = t // 3
-            i = index.get(nxt)
-            if i is None:
-                if len(carries) >= state_limit:
-                    raise _too_many(ms, state_limit)
-                i = index[nxt] = len(carries)
-                carries.append(nxt)
-            pair[d] = i
-        transitions.append((pair[0], pair[1]))
+    carries = pair_carries(m, state_limit)[1]
+    index = {c: i for i, c in enumerate(carries)}
     return CarryAutomaton(
         multipliers=ms.multipliers,
         states=tuple((0, c) for c in carries),
-        transitions=tuple(transitions),
+        # a tuple of a list builds faster than a tuple of a generator
+        transitions=tuple(
+            [
+                (
+                    None if c % 3 == 2 else index[c // 3],
+                    None if (c + m) % 3 == 2 else index[(c + m) // 3],
+                )
+                for c in carries
+            ]
+        ),
         trimmed=False,
     )
 

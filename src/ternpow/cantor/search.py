@@ -8,16 +8,13 @@ the products).  That decision is the only witness search: a miss proves
 that no N exists at any size.
 
 The class scan builds no machine for most multipliers.  It steps the one
-carry of M as a plain integer: a single breadth-first search gives every
-distance from carry 0, the witness is rebuilt from those distances by
-arithmetic on the carries, and positive dimension reads from whether carry
-1 is reachable (see _classify_normalized).  Only when it is not, for some
-M = 1 (mod 3), is the machine built and its growth test read from the
-untrimmed machine: trimming only removes states off every cycle, so it
-leaves each component that contains a cycle, and each of its inner edges,
-as it was, and a state keeping both out-edges in its own component is on a
-cycle.  The growth test therefore gives the same answer before and after
-trimming.
+carry of M as a plain integer: a single breadth-first search (pair_carries)
+gives every distance from carry 0, the witness is rebuilt from those
+distances by arithmetic on the carries, and positive dimension reads from
+whether carry 1 is reachable (see _classify_normalized).  Only when it is
+not, for some M = 1 (mod 3), is the machine built and its growth test read
+from the untrimmed machine, which gives the trimmed machine's answer (see
+has_growth).
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
     MultiplierSet,
-    _too_many,
     build_automaton,
+    pair_carries,
 )
 from .dimension import has_growth
 
@@ -81,36 +78,80 @@ def _is_flush_state(carries: tuple[int, ...]) -> bool:
     return all(int_omits_digit(c, 2) for c in carries)
 
 
-def _distances(trans) -> tuple[list[int], list[int]]:
-    """Breadth-first distances from state 0 (-1 where unreachable) and the
-    states in the order the search reached them.
+def _distances(trans) -> tuple[list[int], list[int], list[list[int]]]:
+    """Breadth-first distances from state 0 (-1 where unreachable), the
+    states in the order the search reached them, and for every state t the
+    reachable states preds[t] with an edge into t, once per edge.
 
-    The order is first-in first-out, so distances never decrease along it,
-    and the states at distance <= j form a prefix of it.
+    The order is first-in first-out, so distances never decrease along it.
     """
     dist = [-1] * len(trans)
     dist[0] = 0
     order = [0]
+    preds: list[list[int]] = [[] for _ in trans]
     for u in order:
         du = dist[u] + 1
         for t in trans[u]:
-            if t is not None and dist[t] < 0:
-                dist[t] = du
-                order.append(t)
-    return dist, order
+            if t is not None:
+                preds[t].append(u)
+                if dist[t] < 0:
+                    dist[t] = du
+                    order.append(t)
+    return dist, order, preds
+
+
+def _least_digits(order, dist, leads_to_flush, back) -> list[int] | None:
+    """Digits, least significant first, of the least witness, or None when
+    no witness exists.
+
+    order lists the reachable states in breadth-first order and dist maps
+    each to its distance from the start state.  leads_to_flush(u) says
+    whether digit 1 takes u to a flush state, and back(t, d) lists the
+    reachable states that step to t on digit d.
+
+    Minimality: the start state loops on digit 0, so a walk of length
+    dist[u] to u extends to any longer length by leading zeros, and the
+    states where position j of a witness may sit are exactly those with
+    dist <= j.  The least length L is 1 + the least dist[u] with
+    leads_to_flush(u); top holds every such u.  Within length L the digits
+    are fixed from the most significant end, taking 0 whenever it keeps a
+    witness (each 0 saves more than all lower positions combined).
+    allowed holds the states at distance <= j from which the digits already
+    fixed above position j lead to flush; a state at distance <= j steps to
+    one at distance <= j + 1, so restricting to them loses no witness.
+    """
+    top: list = []
+    for u in order:
+        if top and dist[u] > dist[top[0]]:
+            break
+        if leads_to_flush(u):
+            top.append(u)
+    if not top:
+        return None
+
+    length = dist[top[0]] + 1
+    digits = [0] * length
+    digits[-1] = 1
+    allowed = top
+    for j in range(length - 2, -1, -1):
+        for d in (0, 1):
+            prev = {u for t in allowed for u in back(t, d) if dist[u] <= j}
+            if prev:
+                break
+        else:
+            raise AssertionError("witness reconstruction lost feasibility")
+        digits[j] = d
+        allowed = prev
+    return digits
 
 
 def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResult:
     """Exact decision plus the minimal witness when one exists.
 
-    Minimality: breadth-first distances give the least digit count L, and
-    within length L the digits are chosen greedily from the most significant
-    end (each 0 saves more than all lower positions combined).  The all-zero
-    state loops on digit 0, so a walk of length dist[u] to u extends to any
-    longer length by leading zeros: the states where position j of a
-    witness may sit are exactly those with dist[u] <= j.  Flushness is
-    tested lazily, once per state, and only on the targets of 1-edges out of
-    states up to the least witness layer.
+    The digits come from _least_digits over the machine's breadth-first
+    distances and predecessor lists.  Flushness is tested lazily, once per
+    state, and only on the targets of 1-edges out of states up to the least
+    witness layer.
     """
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
     trans, states = a.transitions, a.states
@@ -124,16 +165,14 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
             ok = flush[t] = _is_flush_state(states[t])
         return ok
 
-    # the least L such that a state at distance L - 1 moves to a flush
-    # state on the leading digit 1; top holds every such state
-    dist, order = _distances(trans)
-    top: list[int] = []
-    for u in order:
-        if top and dist[u] > dist[top[0]]:
-            break
-        if is_flush(trans[u][1]):
-            top.append(u)
-    if not top:
+    dist, order, preds = _distances(trans)
+    digits = _least_digits(
+        order,
+        dist,
+        lambda u: is_flush(trans[u][1]),
+        lambda t, d: [u for u in preds[t] if trans[u][d] == t],
+    )
+    if digits is None:
         return WitnessResult(
             multipliers=a.multipliers,
             found=False,
@@ -141,25 +180,6 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
             digits=None,
             bound_denominator=None,
         )
-
-    # allowed: the states at distance <= j from which the digits already
-    # fixed above position j lead to flush; a state at distance <= j steps
-    # to one at distance <= j + 1, so restricting to them loses no witness
-    best_len = dist[top[0]] + 1
-    digits = [0] * best_len
-    digits[best_len - 1] = 1
-    # every state at distance <= best_len - 2 comes before top[0]
-    ball = order[: order.index(top[0])]
-    allowed = set(top)
-    for j in range(best_len - 2, -1, -1):
-        zero_side = {u for u in ball if dist[u] <= j and trans[u][0] in allowed}
-        if zero_side:
-            allowed = zero_side
-        else:
-            digits[j] = 1
-            allowed = {u for u in ball if dist[u] <= j and trans[u][1] in allowed}
-            if not allowed:
-                raise AssertionError("witness reconstruction lost feasibility")
 
     n = sum(d * 3**j for j, d in enumerate(digits))
     if not is_flush(a.walk(digits)):
@@ -189,27 +209,26 @@ class GreedyElement:
 def greedy_element(m: int, r: int) -> GreedyElement:
     """Digit string d0=1, d1..d_{r-1} with the low r digits of m*value 2-free.
 
-    Walks the {1, m} carry machine from the state after the leading 1,
-    taking digit 0 whenever the machine allows it and digit 1 otherwise.
-    The walk never stalls: from carry c, digit 0 dies only when
-    c = 2 mod 3 and digit 1 only when m + c = 2 mod 3, which for
-    m = 1 mod 3 cannot both hold, so every state keeps an exit.
+    Steps the integer carry of m in the {1, m} machine from the carry after
+    the leading 1, taking digit 0 whenever the machine allows it and digit 1
+    otherwise: from carry c, digit d leads to (c + d*m) // 3 and is allowed
+    unless c + d*m = 2 mod 3.  The walk never stalls: digit 0 dies only
+    when c = 2 mod 3 and digit 1 only when m + c = 2 mod 3, which for
+    m = 1 mod 3 cannot both hold, so every carry keeps an exit.
     """
     if m % 3 != 1:
         raise ValueError("m must be congruent to 1 mod 3")
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = build_automaton(MultiplierSet.of([m]))
 
-    state = a.transitions[0][1]
-    if state is None:
-        raise AssertionError("digit 1 rejected at start despite m % 3 == 1")
+    c = m // 3  # m = 1 mod 3 emits digit 1 on the leading 1
     digits = [1]
     for _ in range(r - 1):
-        d = 0 if a.transitions[state][0] is not None else 1
-        state = a.transitions[state][d]
-        if state is None:
+        d = 1 if c % 3 == 2 else 0
+        t = c + d * m
+        if t % 3 == 2:
             raise AssertionError(f"no exit for m={m} after {len(digits)} digits")
+        c = t // 3
         digits.append(d)
     return GreedyElement(
         m=m,
@@ -305,10 +324,7 @@ class ScanResult:
     in_mc: some positive integer N has N and M*N both digit-2-free (exact
     reachability decision).  in_mh: the admissible set of {1, M} has
     positive dimension, i.e. its trimmed machine has a growth component (an
-    exact structural test for spectral radius > 1): some state keeps both
-    out-edges in its own strongly connected component.  Such a state lies
-    on a cycle, and trimming never touches a component with a cycle, so the
-    untrimmed machine gives the same answer.
+    exact structural test for spectral radius > 1, read by has_growth).
     The strict witnesses are the M in the second class but not the first.
     """
 
@@ -319,33 +335,6 @@ class ScanResult:
     strict: tuple[int, ...]
 
 
-def _carry_distances(m: int, state_limit: int) -> tuple[list[int], list[int]]:
-    """Breadth-first distances from carry 0 in the {1, m} machine, indexed
-    by the carry of m (-1 where unreachable), and the reachable carries in
-    the order the search reached them.
-
-    From carry c, digit d is allowed iff (c + d*m) % 3 != 2 and leads to
-    (c + d*m) // 3.  A carry c <= m // 2 leads to at most (m // 2 + m) // 3
-    <= m // 2, so the list holds every carry.  The search reaches the states
-    of build_automaton in its order, digit 0 before digit 1, so it raises
-    the same SizeGuardError at the same count.
-    """
-    dist = [-1] * (m // 2 + 1)
-    dist[0] = 0
-    order = [0]
-    for c in order:
-        dc = dist[c] + 1
-        for t in (c, c + m):
-            if t % 3 != 2:
-                t //= 3
-                if dist[t] < 0:
-                    if len(order) >= state_limit:
-                        raise _too_many(MultiplierSet.of((1, m)), state_limit)
-                    dist[t] = dc
-                    order.append(t)
-    return dist, order
-
-
 def _classify_normalized(
     m: int, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> tuple[bool, bool, int | None]:
@@ -353,13 +342,10 @@ def _classify_normalized(
 
     Works on the integer carry of m, without building the machine:
 
-    - Witness.  Carry 0 loops on digit 0, so the carries where position j
-      of a witness may sit are exactly those with dist <= j.  The least
-      length L is 1 + the least dist[u] whose digit-1 target is flush
-      (digit-2-free), and the first such u in breadth-first order has it.
-      The digits are then fixed greedily from the top, as smallest_witness
-      does, stepping back by arithmetic: the carries that reach t on digit
-      d are 3t - d*m and 3t + 1 - d*m, kept when reachable with dist <= j.
+    - Witness.  _least_digits over the carry distances, testing each
+      digit-1 target for flushness (digit-2-free) as it goes, and stepping
+      back by arithmetic: the carries that reach t on digit d are
+      3t - d*m and 3t + 1 - d*m, kept when reachable.
     - Growth.  For m = 1 (mod 3), carry 0 has two out-edges: its loop and
       an edge to s = (m - 1) // 3.  Every other carry is reached through s,
       and the only edge from another carry into 0 is 1 -> 0 on digit 0
@@ -369,44 +355,25 @@ def _classify_normalized(
       built machine's other components decide.  For m = 2 (mod 3), carry 0
       is the only state and keeps one out-edge: no growth.
     """
-    dist, order = _carry_distances(m, state_limit)
-    if m == 1 or dist[1] >= 0:
+    dist, order = pair_carries(m, state_limit)
+    if m == 1 or 1 in dist:
         in_mh = True
     elif len(order) == 1:
         in_mh = False
     else:
         in_mh = has_growth(build_automaton(MultiplierSet.of((1, m)), state_limit))
 
-    top: list[int] = []
-    for u in order:
-        if top and dist[u] > dist[top[0]]:
-            break
+    def leads_to_flush(u: int) -> bool:
         t = u + m
-        if t % 3 != 2 and int_omits_digit(t // 3, 2):
-            top.append(u)
-    if not top:
-        return False, in_mh, None
+        return t % 3 != 2 and int_omits_digit(t // 3, 2)
 
-    length = dist[top[0]] + 1
-    digits = [0] * length
-    digits[-1] = 1
-    allowed = top
-    half = m // 2
-    for j in range(length - 2, -1, -1):
-        for d in (0, 1):
-            dm = d * m
-            prev = {
-                u
-                for t in allowed
-                for u in (3 * t - dm, 3 * t + 1 - dm)
-                if 0 <= u <= half and 0 <= dist[u] <= j
-            }
-            if prev:
-                break
-        else:
-            raise AssertionError("witness reconstruction lost feasibility")
-        digits[j] = d
-        allowed = prev
+    def back(t: int, d: int):
+        u = 3 * t - d * m
+        return filter(dist.__contains__, (u, u + 1))
+
+    digits = _least_digits(order, dist, leads_to_flush, back)
+    if digits is None:
+        return False, in_mh, None
 
     n = sum(d * 3**j for j, d in enumerate(digits))
     if not (int_omits_digit(n, 2) and int_omits_digit(n * m, 2)):

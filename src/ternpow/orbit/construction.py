@@ -271,20 +271,17 @@ def _pick_low_window_value(
 def construct_theorem12(
     levels: int,
     digit_policy: str = "min",
-    explicit_digits: dict[int, int] | None = None,
     *,
     cap: int = DEFAULT_PRECISION_CAP,
 ) -> ConstructionState:
     """Run the level construction, checking every claim it relies on.
 
-    digit_policy is "min", "max", or "random:<seed>"; explicit_digits maps a
-    level to a forced d_k value (validated against both admissibility
-    properties).  Level 1 materializes M_1 and checks its digits directly.
-    Level 2's run length makes M_2 about 10^21 bits wide, so its scalar data
-    is computed and certified but the integer itself is reported as
-    infeasible to store.  Level 3 would need roughly 2^(m_2)-bit precision
-    and is rejected outright.  Every certified decision escalates up to
-    ``cap`` bits.
+    digit_policy is "min", "max", or "random:<seed>".  Level 1 materializes
+    M_1 and checks its digits directly.  Level 2's run length makes M_2
+    about 10^21 bits wide, so its scalar data is computed and certified but
+    the integer itself is reported as infeasible to store.  Level 3 would
+    need roughly 2^(m_2)-bit precision and is rejected outright.  Every
+    certified decision escalates up to ``cap`` bits.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -299,7 +296,6 @@ def construct_theorem12(
         policy = "random"
     elif digit_policy not in ("min", "max"):
         raise ValueError(f"unknown digit policy: {digit_policy!r}")
-    explicit_digits = explicit_digits or {}
 
     digits = [2]
     lam = Fraction(2)
@@ -365,20 +361,8 @@ def construct_theorem12(
         if admissible <= 0:
             raise ValueError("(P2) violated: empty admissible digit window")
 
-        if k in explicit_digits:
-            d = explicit_digits[k]
-            if not (0 <= d <= dmax):
-                raise ValueError(
-                    f"(P1) violated at level {k}: d={d} outside [0, {dmax}]"
-                )
-            w = E + d
-            if not int_omits_digit(w, 1):
-                raise ValueError(
-                    f"(P2) violated at level {k}: M_{k} would contain digit 1"
-                )
-        else:
-            w = _pick_low_window_value(E, E + dmax, policy, rng)
-            d = w - E
+        w = _pick_low_window_value(E, E + dmax, policy, rng)
+        d = w - E
 
         M_new = (M << l) + d
         lam_new = lam + Fraction(d, 2**m)

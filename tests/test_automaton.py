@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -87,6 +88,15 @@ def test_known_machine_sizes():
 def test_state_limit_guard():
     with pytest.raises(SizeGuardError):
         build_automaton([1, 7], state_limit=2)
+
+
+def test_state_limit_guard_is_independent_of_the_multiplier_size():
+    # the {1, M} search keys its carries by value, so it holds at most
+    # state_limit of them, never M // 2 slots
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        build_automaton([1, 3**40 + 1], state_limit=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def _parent_build_automaton(ms, state_limit):

@@ -278,18 +278,6 @@ def test_digit_policies_differ_but_all_admit():
     assert construct_theorem12(1, digit_policy="random:43") != rnd
 
 
-def test_explicit_digit_validation():
-    st = construct_theorem12(1)
-    good = st.reports[0].digit
-    forced = construct_theorem12(1, explicit_digits={1: good})
-    assert forced.M == st.M
-    with pytest.raises(ValueError):
-        construct_theorem12(1, explicit_digits={1: 3**41})
-    with pytest.raises(ValueError):
-        # the window start itself carries a ternary digit 1
-        construct_theorem12(1, explicit_digits={1: 0})
-
-
 def test_policy_validation():
     with pytest.raises(ValueError):
         construct_theorem12(1, digit_policy="random")

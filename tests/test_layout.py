@@ -183,7 +183,7 @@ def test_replaced_paths_are_gone():
         assert not hasattr(construction, name), name
     assert "scan_limit" not in inspect.signature(construction.find_lk).parameters
     build = inspect.signature(construction.construct_theorem12).parameters
-    assert not {"scan_limit", "bit_limit"} & set(build)
+    assert not {"scan_limit", "bit_limit", "explicit_digits"} & set(build)
     # digit-2-free integers have one coding: nth_free and count_free_upto
     gone = ("next_omitting", "prev_omitting", "count_omitting_upto", "digits_to_int")
     for name in gone:
@@ -198,6 +198,8 @@ def test_replaced_paths_are_gone():
         assert not hasattr(ternpow, name), name
     witness_fields = dataclasses.fields(ternpow.cantor.search.WitnessResult)
     assert not {"exhausted", "checked_up_to"} & {f.name for f in witness_fields}
+    # one {1, M} carry search, in the automaton module
+    assert not hasattr(ternpow.cantor.search, "_carry_distances")
     # stdout depends on argv alone: no run config, and the scan is serial
     assert not hasattr(ternpow.cli, "RunConfig")
     scan = inspect.signature(ternpow.cantor.search.scan_problems).parameters

@@ -23,11 +23,11 @@ from ternpow import (
     trim,
     verify_sigma_subsets,
 )
+from ternpow.cantor.automaton import pair_carries
 from ternpow.cantor.dimension import growth_components, has_growth
 from ternpow.cantor.search import (
     DEFAULT_SCAN_LIMIT,
     _bound_denominator,
-    _carry_distances,
     _classify_normalized,
     _distances,
     _is_flush_state,
@@ -257,6 +257,26 @@ def test_greedy_walk_matches_backtracking_search():
             assert (g.digits, g.value) == _backtracking_greedy(a, r)[:2], (m, r)
 
 
+def test_greedy_walk_needs_no_machine():
+    # the {1, 3^20 + 1} machine outgrows the default state guard, but a
+    # 64-digit walk steps only 64 carries
+    m = 3**20 + 1
+    with pytest.raises(SizeGuardError):
+        build_automaton([1, m])
+    g = greedy_element(m, 64)
+    assert g.digits[0] == 1 and len(g.digits) == 64
+    assert g.value == sum(d * 3**j for j, d in enumerate(g.digits))
+    prod = m * g.value
+    for _ in range(64):
+        assert prod % 3 != 2
+        prod //= 3
+    # each later 1 is forced: a 0 there would emit the digit 2
+    c = m // 3
+    for d in g.digits[1:]:
+        assert (c % 3 == 2) == (d == 1)
+        c = (c + d * m) // 3
+
+
 def test_sigma_subsets_frozen_counts():
     rep = verify_sigma_subsets(6)
     assert rep.sigma_a_count == 8
@@ -457,7 +477,7 @@ def test_pair_carry_distances_are_the_exact_step_layers(m):
     # the states reachable in exactly j steps are those with dist <= j; a
     # state's last carry is that of m (of the implicit 1 when m = 1)
     a = build_automaton([1, m])
-    by_carry, order = _carry_distances(m, 10**6)
+    by_carry, order = pair_carries(m, 10**6)
     assert order == [s[-1] for s in a.states]
     dist = [by_carry[s[-1]] for s in a.states]
     assert dist == _distances(a.transitions)[0]
@@ -467,8 +487,11 @@ def test_pair_carry_distances_are_the_exact_step_layers(m):
 @given(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=3))
 def test_distances_are_the_exact_step_layers_for_triples(ms):
     a = build_automaton(ms)
-    dist, order = _distances(a.transitions)
+    dist, order, preds = _distances(a.transitions)
     assert sorted(order) == list(range(a.num_states))
+    for t in range(a.num_states):
+        want = [u for u in range(a.num_states) for v in a.transitions[u] if v == t]
+        assert sorted(preds[t]) == want, t
     assert [dist[u] for u in order] == sorted(dist)
     _assert_layers_are_distance_balls(a, dist)
 
@@ -504,6 +527,23 @@ def test_lazy_witness_matches_full_preimage_oracle():
         assert smallest_witness(ms) == _parent_smallest_witness(ms), ms
     assert any(_parent_smallest_witness(ms).found for ms in triples)
     assert not all(_parent_smallest_witness(ms).found for ms in triples)
+
+
+def test_witness_is_the_same_on_the_trimmed_machine():
+    # a flush state runs out on zeros to the looping start state, so the
+    # witness walk stays among the states trimming keeps
+    rng = random.Random(22)
+    sets = [
+        [1] + [rng.randrange(2, 400) for _ in range(rng.choice((1, 1, 2)))]
+        for _ in range(150)
+    ]
+    found = 0
+    for ms in sets:
+        a = build_automaton(ms)
+        w = smallest_witness(a)
+        assert smallest_witness(trim(a)) == w, ms
+        found += w.found
+    assert 0 < found < len(sets)
 
 
 def test_scan_honours_state_limit():
