@@ -137,7 +137,7 @@ def build_automaton(
     ms = ms.normalized()
     mults = ms.multipliers
     if len(mults) == 2:
-        return _build_pair(ms, state_limit)
+        return _build_pair(mults[1], pair_carries(mults[1], state_limit)[1])
 
     start = (0,) * len(mults)
     index = {start: 0}
@@ -198,14 +198,12 @@ def pair_carries(m: int, state_limit: int) -> tuple[dict[int, int], list[int]]:
     return dist, order
 
 
-def _build_pair(ms: MultiplierSet, state_limit: int) -> CarryAutomaton:
-    """build_automaton for a normalized {1, m}: the states are the carries
-    of m in pair_carries' order, which is build_automaton's order."""
-    m = ms.multipliers[1]
-    carries = pair_carries(m, state_limit)[1]
+def _build_pair(m: int, carries: list[int]) -> CarryAutomaton:
+    """build_automaton for a normalized {1, m}, m > 1, from the carries of m
+    in pair_carries' order (build_automaton's order)."""
     index = {c: i for i, c in enumerate(carries)}
     return CarryAutomaton(
-        multipliers=ms.multipliers,
+        multipliers=(1, m),
         states=tuple((0, c) for c in carries),
         # a tuple of a list builds faster than a tuple of a generator
         transitions=tuple(
@@ -275,23 +273,19 @@ def prefix_counts(
     ms, depth: int, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> tuple[int, ...]:
     """Exact numbers of accepted length-r digit strings for r = 1..depth
-    (untrimmed machine), from one pass of path counting."""
+    (untrimmed machine), counted backward: r steps of v <- A v from all
+    ones, a dead digit reading a slot that holds 0, leave count(r) in v[0]."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
-    vec = [0] * a.num_states
-    vec[0] = 1
+    n = a.num_states
+    pairs = [(n if s is None else s, n if t is None else t) for s, t in a.transitions]
+    v = [1] * n + [0]
     counts = []
     for _ in range(depth):
-        nxt = [0] * a.num_states
-        for i, count in enumerate(vec):
-            if count == 0:
-                continue
-            for t in a.transitions[i]:
-                if t is not None:
-                    nxt[t] += count
-        vec = nxt
-        counts.append(sum(vec))
+        v = [v[s] + v[t] for s, t in pairs]
+        v.append(0)
+        counts.append(v[0])
     return tuple(counts)
 
 

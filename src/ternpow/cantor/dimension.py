@@ -13,30 +13,23 @@ cycle (radius 0).  The growth components, where some state keeps both
 out-edges inside, are exactly those with radius above 1: rho = 1 when there
 is none, and otherwise each gets one Collatz-Wielandt certificate.  For
 B = A + I and any positive integer vector x, the min and max of
-(Bx)_i / x_i enclose rho(B) = rho(A) + 1 in exact rational arithmetic, not
-floating point.  x is a float guess checked exactly (the pattern of Rump,
-"Verification methods", Acta Numerica 19, 2010): float power iteration
-runs until the float ratios agree to TARGET_WIDTH / 8, its vector is
-rounded to positive integers, and integer power iteration starts from
-those, reading the enclosure at once and then after FIRST_READING,
-2 * FIRST_READING, ... steps.  Because the enclosure holds for every
-positive x, rounding and float error can only widen it, never make it
-wrong.  A component whose floats do not settle starts from all ones.
-The one-state {1} machine settles at once on all ones, its exact
-eigenvector, so its certificate is the exact point rho = 2.
-
-Each power step, float or integer, is one pass over index triples
-(i, a, b): a component row has one or two targets, so it is padded to two
-with a slot that always holds 0, and (Bx)_i = x_i + x_a + x_b.  An integer
-reading finds the smallest and largest (Bx)_i / x_i by integer
-cross-multiplication and builds only those two Fractions.
+(Bx)_i / x_i enclose rho(B) = rho(A) + 1 in exact rational arithmetic.
+x is a float guess checked exactly (the pattern of Rump, "Verification
+methods", Acta Numerica 19, 2010): float power iteration, on A when the
+component is primitive (faster than B) and on B when not, runs until
+its ratios agree to TARGET_WIDTH / 8.  Its vector is rounded to positive
+integers, and integer power iteration on B starts from those, reading the
+enclosure at once and after FIRST_READING, 2 * FIRST_READING, ... steps.
+The floats can only widen the enclosure, never make it wrong; a component
+whose floats do not settle starts from all ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, truediv
+from math import gcd
+from operator import add, itemgetter, truediv
 
 from ..errors import SizeGuardError
 from ..precision import MIN_PRECISION, log3_bounds
@@ -178,34 +171,59 @@ def growth_components(trimmed: CarryAutomaton) -> list[list[list[int]]]:
     return growth
 
 
-def _float_seed(triples, n: int) -> list[int] | None:
-    """Positive integer start vector for _cw_bounds from float power
-    iteration, or None when the floats do not settle.
+def _period(rows: list[list[int]]) -> int:
+    """Period of an irreducible component given by sparse rows (1 means
+    primitive): the gcd over its edges u -> v of level[u] + 1 - level[v],
+    with breadth-first levels."""
+    level = [-1] * len(rows)
+    level[0] = 0
+    order = [0]
+    for u in order:
+        for v in rows[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                order.append(v)
+    return gcd(*(level[u] + 1 - level[v] for u, row in enumerate(rows) for v in row))
 
-    Runs the same step in floats from all ones.  Entries only grow under
-    B = A + I, so the vector is renormalized by its max only once that
-    passes _FLOAT_RESCALE, and each renormalized entry is floored at
-    _FLOAT_FLOOR so that none underflows to 0.  Every _FLOAT_BLOCK steps it
-    reads the float spread of (Bx)_i / x_i.  Once the spread is below
-    _FLOAT_SETTLED and every entry is at least _FLOAT_FLOOR of the max (so
-    the floor played no part), the vector, scaled so its max is 1, is
-    rounded to the positive integers floor(v * 2^64).  A component whose
-    Perron entries span more than that never settles and gets None.  The
-    floats pick the start vector only; every bound is read in exact
-    integers.
+
+def _float_seed(rows: list[list[int]], period: int) -> list[int] | None:
+    """Positive integer start vector for _cw_bounds, or None when the floats
+    do not settle.
+
+    Power-iterates A from all ones when period is 1, B = A + I otherwise,
+    over rows permuted so that those with two targets come first: a step
+    sums their targets, then gathers the rest by one itemgetter whose last
+    index n, a slot holding 0, keeps it returning a tuple (all ones is
+    exact when no row has one target).  The max never falls, as every state
+    has a predecessor in its component.  Past _FLOAT_RESCALE the vector is
+    divided by its max, entries floored at _FLOAT_FLOOR.  Every _FLOAT_BLOCK
+    steps the spread of the step ratios is read; below _FLOAT_SETTLED, with
+    no entry under _FLOAT_FLOOR of the max, the vector is permuted back and
+    rounded to floor(v * 2^64 / max).
     """
+    n = len(rows)
+    two = [i for i, row in enumerate(rows) if len(row) == 2]
+    one = [i for i, row in enumerate(rows) if len(row) == 1]
+    if not one:
+        return [1] * n
+    at = [0] * n
+    for j, i in enumerate(two + one):
+        at[i] = j
+    pairs = [(at[rows[i][0]], at[rows[i][1]]) for i in two]
+    gather = itemgetter(*[at[rows[i][0]] for i in one], n)
     x = [1.0] * n + [0.0]
     for _ in range(0, MAX_ITERATIONS, _FLOAT_BLOCK):
         for _ in range(_FLOAT_BLOCK):
-            y = [x[i] + x[a] + x[b] for i, a, b in triples]
-            y.append(0.0)
+            y = [x[a] + x[b] for a, b in pairs]
+            y.extend(gather(x))
+            if period > 1:
+                y = list(map(add, y, x))
             x, prev = y, x
         ratios = list(map(truediv, x[:n], prev))
         top = max(x)
         low = top * _FLOAT_FLOOR
         if max(ratios) - min(ratios) < _FLOAT_SETTLED and min(x[:n]) >= low:
-            # v / low is v * 2^64 / top, at least 1
-            return [int(v / low) for v in x[:n]]
+            return [int(x[j] / low) for j in at]
         if top > _FLOAT_RESCALE:
             x = [v / top if v > low else _FLOAT_FLOOR for v in x[:n]]
             x.append(0.0)
@@ -216,25 +234,17 @@ def _cw_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction, bool]:
     """Collatz-Wielandt enclosure of the spectral radius of an irreducible
     component given by sparse rows, and whether it met TARGET_WIDTH.
 
-    Power-iterates B = A + I (the shift kills periodicity) on an integer
-    vector, renormalizing by shifts to keep entries bounded; the min and
-    max of (Bx)_i / x_i enclose rho(B) = rho(A) + 1 exactly for any
-    positive x.  The vector starts from the rounded float Perron guess of
-    _float_seed when the floats settled, and from all ones otherwise.
-    Since the enclosure holds for every positive start, the floats move
-    only its width, never its soundness, and a component they cannot
-    settle gets the all-ones enclosure.  One run serves every reading:
-    after 0, FIRST_READING, 2 * FIRST_READING, ..., MAX_ITERATIONS steps.
-
-    x carries a trailing 0 at index n, and every row is padded to two
-    targets with that index, so a step is x_i + x_a + x_b per triple.
-    Every entry stays positive (the shift floors at 1), so max(y) has the
-    largest bit length.  A reading compares y_i * x_j with y_j * x_i to
-    find the extreme ratios and turns only those two into Fractions.
+    Power-iterates B = A + I in integers from _float_seed's guess, or from
+    all ones, renormalizing by shifts; for every positive x the min and max
+    of (Bx)_i / x_i enclose rho(B) = rho(A) + 1.  x carries a trailing 0 at
+    index n that pads every row to two targets, so a step is
+    x_i + x_a + x_b per triple.  Entries stay positive (the shift floors at
+    1), so max(y) has the largest bit length.  A reading finds the extreme
+    ratios by cross-multiplication and turns only those two into Fractions.
     """
     n = len(rows)
     triples = [(i, *(row + [n, n])[:2]) for i, row in enumerate(rows)]
-    x = _float_seed(triples, n) or [1] * n
+    x = _float_seed(rows, _period(rows)) or [1] * n
     x.append(0)
     steps, reading = 0, 0
     while True:

@@ -7,19 +7,17 @@ digit-2-free integers (the carries are exactly the unwritten high digits of
 the products).  That decision is the only witness search: a miss proves
 that no N exists at any size.
 
-The class scan builds no machine for most multipliers.  It steps the one
-carry of M as a plain integer: a single breadth-first search (pair_carries)
-gives every distance from carry 0, the witness is rebuilt from those
-distances by arithmetic on the carries, and positive dimension reads from
-whether carry 1 is reachable (see _classify_normalized).  Only when it is
-not, for some M = 1 (mod 3), is the machine built and its growth test read
-from the untrimmed machine, which gives the trimmed machine's answer (see
-has_growth).
+The class scan steps the one carry of M as a plain integer: one
+breadth-first search (pair_carries) gives every distance from carry 0, the
+witness is rebuilt from those distances by arithmetic on the carries, and
+positive dimension mostly reads from whether carry 1 is reachable, with a
+machine built from the same carries for the rest (_classify_normalized).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..precision import MIN_PRECISION, alpha0_bounds, math_floor_log3
 from ..ternary import int_omits_digit
@@ -27,6 +25,7 @@ from .automaton import (
     DEFAULT_STATE_LIMIT,
     CarryAutomaton,
     MultiplierSet,
+    _build_pair,
     build_automaton,
     pair_carries,
 )
@@ -78,36 +77,44 @@ def _is_flush_state(carries: tuple[int, ...]) -> bool:
     return all(int_omits_digit(c, 2) for c in carries)
 
 
-def _distances(trans) -> tuple[list[int], list[int], list[list[int]]]:
-    """Breadth-first distances from state 0 (-1 where unreachable), the
-    states in the order the search reached them, and for every state t the
-    reachable states preds[t] with an edge into t, once per edge.
-
-    The order is first-in first-out, so distances never decrease along it.
-    """
+def _distances(trans) -> tuple[list[int], list[int]]:
+    """Breadth-first distances from state 0 (-1 where unreachable) and the
+    states in the order reached, first-in first-out, so that distances never
+    decrease along it."""
     dist = [-1] * len(trans)
     dist[0] = 0
     order = [0]
-    preds: list[list[int]] = [[] for _ in trans]
     for u in order:
         du = dist[u] + 1
         for t in trans[u]:
+            if t is not None and dist[t] < 0:
+                dist[t] = du
+                order.append(t)
+    return dist, order
+
+
+def _steps_back(trans, order, dist, length: int):
+    """back(t, d) for _least_digits: the states at distance < length - 1
+    that step to t on digit d, from one scan of their transitions."""
+    preds: tuple[dict[int, list[int]], ...] = ({}, {})
+    for u in order:
+        if dist[u] >= length - 1:
+            break
+        for d, t in enumerate(trans[u]):
             if t is not None:
-                preds[t].append(u)
-                if dist[t] < 0:
-                    dist[t] = du
-                    order.append(t)
-    return dist, order, preds
+                preds[d].setdefault(t, []).append(u)
+    return lambda t, d: preds[d].get(t, ())
 
 
-def _least_digits(order, dist, leads_to_flush, back) -> list[int] | None:
+def _least_digits(order, dist, leads_to_flush, steps_back) -> list[int] | None:
     """Digits, least significant first, of the least witness, or None when
     no witness exists.
 
     order lists the reachable states in breadth-first order and dist maps
     each to its distance from the start state.  leads_to_flush(u) says
-    whether digit 1 takes u to a flush state, and back(t, d) lists the
-    reachable states that step to t on digit d.
+    whether digit 1 takes u to a flush state.  Once the least witness
+    length is known, steps_back(length) returns back(t, d), the states that
+    step to t on digit d (any at distance >= length - 1 may be left out).
 
     Minimality: the start state loops on digit 0, so a walk of length
     dist[u] to u extends to any longer length by leading zeros, and the
@@ -130,6 +137,7 @@ def _least_digits(order, dist, leads_to_flush, back) -> list[int] | None:
         return None
 
     length = dist[top[0]] + 1
+    back = steps_back(length)
     digits = [0] * length
     digits[-1] = 1
     allowed = top
@@ -149,8 +157,9 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
     """Exact decision plus the minimal witness when one exists.
 
     The digits come from _least_digits over the machine's breadth-first
-    distances and predecessor lists.  Flushness is tested lazily, once per
-    state, and only on the targets of 1-edges out of states up to the least
+    distances, stepping back through predecessor lists built only once a
+    witness is known to exist.  Flushness is tested lazily, once per state,
+    and only on the targets of 1-edges out of states up to the least
     witness layer.
     """
     a = ms if isinstance(ms, CarryAutomaton) else build_automaton(ms, state_limit)
@@ -165,21 +174,11 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
             ok = flush[t] = _is_flush_state(states[t])
         return ok
 
-    dist, order, preds = _distances(trans)
-    digits = _least_digits(
-        order,
-        dist,
-        lambda u: is_flush(trans[u][1]),
-        lambda t, d: [u for u in preds[t] if trans[u][d] == t],
-    )
+    dist, order = _distances(trans)
+    steps_back = partial(_steps_back, trans, order, dist)
+    digits = _least_digits(order, dist, lambda u: is_flush(trans[u][1]), steps_back)
     if digits is None:
-        return WitnessResult(
-            multipliers=a.multipliers,
-            found=False,
-            n=None,
-            digits=None,
-            bound_denominator=None,
-        )
+        return WitnessResult(a.multipliers, False, None, None, None)
 
     n = sum(d * 3**j for j, d in enumerate(digits))
     if not is_flush(a.walk(digits)):
@@ -188,13 +187,8 @@ def smallest_witness(ms, state_limit: int = DEFAULT_STATE_LIMIT) -> WitnessResul
         if not int_omits_digit(n * m, 2):
             raise AssertionError("reconstructed witness fails the digit check")
 
-    return WitnessResult(
-        multipliers=a.multipliers,
-        found=True,
-        n=n,
-        digits=tuple(digits),
-        bound_denominator=_bound_denominator(n, a.multipliers[-1]),
-    )
+    bound_denominator = _bound_denominator(n, a.multipliers[-1])
+    return WitnessResult(a.multipliers, True, n, tuple(digits), bound_denominator)
 
 
 @dataclass(frozen=True)
@@ -340,7 +334,7 @@ def _classify_normalized(
 ) -> tuple[bool, bool, int | None]:
     """(in_mc, in_mh, smallest witness) for a 3-coprime multiplier.
 
-    Works on the integer carry of m, without building the machine:
+    Works on the integer carry of m:
 
     - Witness.  _least_digits over the carry distances, testing each
       digit-1 target for flushness (digit-2-free) as it goes, and stepping
@@ -351,9 +345,10 @@ def _classify_normalized(
       and the only edge from another carry into 0 is 1 -> 0 on digit 0
       (3*0 + 1 - m < 0 for m > 1).  So s reaches 0, which puts both of
       0's out-edges inside its component as has_growth asks, iff m = 1 or
-      carry 1 is reachable.  Otherwise 0's component is {0} alone and the
-      built machine's other components decide.  For m = 2 (mod 3), carry 0
-      is the only state and keeps one out-edge: no growth.
+      carry 1 is reachable.  Otherwise 0's component is {0} alone, and
+      has_growth reads the other components from the machine built on the
+      same carries.  For m = 2 (mod 3), carry 0 is the only state and keeps
+      one out-edge: no growth.
     """
     dist, order = pair_carries(m, state_limit)
     if m == 1 or 1 in dist:
@@ -361,7 +356,7 @@ def _classify_normalized(
     elif len(order) == 1:
         in_mh = False
     else:
-        in_mh = has_growth(build_automaton(MultiplierSet.of((1, m)), state_limit))
+        in_mh = has_growth(_build_pair(m, order))
 
     def leads_to_flush(u: int) -> bool:
         t = u + m
@@ -371,7 +366,7 @@ def _classify_normalized(
         u = 3 * t - d * m
         return filter(dist.__contains__, (u, u + 1))
 
-    digits = _least_digits(order, dist, leads_to_flush, back)
+    digits = _least_digits(order, dist, leads_to_flush, lambda length: back)
     if digits is None:
         return False, in_mh, None
 

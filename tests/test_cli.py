@@ -470,8 +470,10 @@ PINNED_STDOUT = {
         "624dc24279eae66b5d66a1e568fa682e75ae7fe20551aec603f76132d10f338e",
     ("dimension", "--multipliers", "1,7", "--exact-charpoly"):
         "05488d33b60c8fa89788f5db7202c2ab047789476e3e44d99c62a8d9993904c9",
+    # re-recorded when the float seed began to iterate A on primitive
+    # components; test_dimension.PARENT_ENCLOSURES holds the old enclosure
     ("dimension", "--multipliers", "1,4,256", "--exact-charpoly"):
-        "134d84b19b3fdbb74409361c994f273cffd9133b3172ff32d8f3e98c07b64673",
+        "3ee3ced92ce98ff1489c7fdcd3d0fa7a418c739ecb96850a810de8f689dc89ac",
     ("scan", "--max-M", "300"):
         "f5887a672cf4cf3b764fa97d1933b1e82e742af34f975128925f888c0c8ec169",
     ("search-n", "--multipliers", "1,4,256"):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import ternpow.cantor.dimension as dimension
 from ternpow import (
     SizeGuardError,
     build_automaton,
@@ -17,6 +18,7 @@ from ternpow import (
     trim,
 )
 from ternpow.acceptance import _phi_is_root
+from ternpow.cantor.automaton import prefix_counts
 from ternpow.cantor.dimension import (
     _CHARPOLY_STATE_LIMIT,
     FIRST_READING,
@@ -24,6 +26,7 @@ from ternpow.cantor.dimension import (
     TARGET_WIDTH,
     _cw_bounds,
     _float_seed,
+    _period,
     growth_components,
     strongly_connected_components,
 )
@@ -452,8 +455,7 @@ def test_flat_step_matches_rowsum_loop_without_convergence():
 
 
 def _seed(rows):
-    n = len(rows)
-    return _float_seed([(i, *(row + [n, n])[:2]) for i, row in enumerate(rows)], n)
+    return _float_seed(rows, _period(rows))
 
 
 def test_float_seed_survives_entries_below_the_float_range():
@@ -503,14 +505,15 @@ _GOLDEN_MEAN = (
 
 # the certificate's exact bytes: a change to the power iteration (its float
 # seed, its start vector, its step, its readings) must update these on
-# purpose
+# purpose, and show that each new enclosure overlaps the one it replaces
+# (PARENT_ENCLOSURES)
 GOLDEN = {
     (1, 2): (Fraction(1), Fraction(1), True, (1,) * 60),
     (1, 7): _GOLDEN_MEAN,
     (1, 4): _GOLDEN_MEAN,
     (1, 52): (
-        Fraction(6044223474198079, 4951261734893385),
-        Fraction(4503599627370496, 3689225026078231),
+        Fraction(1844612513046079, 1511055868558730),
+        Fraction(3022111737117460, 2475630867446387),
         True,
         (
             2, 3, 4, 5, 6, 7, 9, 11, 13, 16, 20, 24, 29, 36, 44, 53, 65, 80, 97, 118,
@@ -521,8 +524,8 @@ GOLDEN = {
         ),
     ),
     (1, 4, 256): (
-        Fraction(5453169409602106, 4243054397446179),
-        Fraction(825369123320263, 642211129925612),
+        Fraction(6602952986525792, 5137689039384385),
+        Fraction(1363292352398114, 1060763599357141),
         True,
         (
             2, 3, 4, 6, 9, 11, 13, 16, 20, 26, 35, 46, 59, 75, 95, 121, 156, 202,
@@ -534,8 +537,8 @@ GOLDEN = {
         ),
     ),
     (1, 9997): (
-        Fraction(8607855116453324, 6446491029058097),
-        Fraction(8978051184828820, 6723733803366931),
+        Fraction(2151963779045814, 1611622757209219),
+        Fraction(8978051184865916, 6723733803397835),
         True,
         (
             2, 3, 5, 7, 9, 13, 17, 23, 33, 46, 63, 86, 118, 160, 217, 284, 375, 489,
@@ -554,3 +557,131 @@ def test_certificate_bytes_are_pinned(mults):
     est = hausdorff_dimension(list(mults))
     got = (est.rho_lo, est.rho_hi, est.converged, est.prefix_counts)
     assert got == GOLDEN[mults]
+
+
+# the enclosures that the float seed iterating A + I on every component gave
+# for the entries whose bytes moved when primitive components began to
+# iterate A
+PARENT_ENCLOSURES = {
+    (1, 52): (
+        Fraction(6044223474198079, 4951261734893385),
+        Fraction(4503599627370496, 3689225026078231),
+    ),
+    (1, 4, 256): (
+        Fraction(5453169409602106, 4243054397446179),
+        Fraction(825369123320263, 642211129925612),
+    ),
+    (1, 9997): (
+        Fraction(8607855116453324, 6446491029058097),
+        Fraction(8978051184828820, 6723733803366931),
+    ),
+}
+
+
+@pytest.mark.parametrize("mults", sorted(PARENT_ENCLOSURES))
+def test_rerecorded_certificates_overlap_the_parent(mults):
+    lo, hi, converged, _ = GOLDEN[mults]
+    old_lo, old_hi = PARENT_ENCLOSURES[mults]
+    assert lo <= old_hi and old_lo <= hi
+    assert converged and hi - lo <= TARGET_WIDTH
+
+
+# --- the A + I float seed and the forward prefix scatter, kept as oracles ---
+
+
+def _parent_float_seed(rows):
+    """The float seed iterating B = A + I on rows padded to index triples."""
+    n = len(rows)
+    triples = [(i, *(row + [n, n])[:2]) for i, row in enumerate(rows)]
+    x = [1.0] * n + [0.0]
+    for _ in range(0, MAX_ITERATIONS, dimension._FLOAT_BLOCK):
+        for _ in range(dimension._FLOAT_BLOCK):
+            y = [x[i] + x[a] + x[b] for i, a, b in triples]
+            y.append(0.0)
+            x, prev = y, x
+        ratios = [v / u for v, u in zip(x[:n], prev)]
+        top = max(x)
+        low = top * dimension._FLOAT_FLOOR
+        if max(ratios) - min(ratios) < dimension._FLOAT_SETTLED and min(x[:n]) >= low:
+            return [int(v / low) for v in x[:n]]
+        if top > dimension._FLOAT_RESCALE:
+            x = [v / top if v > low else dimension._FLOAT_FLOOR for v in x[:n]]
+            x.append(0.0)
+    return None
+
+
+def _parent_cw_bounds(rows):
+    """_cw_bounds started from the A + I seed (its integer loop is the same)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimension, "_float_seed", lambda rows, period: _parent_float_seed(rows))
+        return _cw_bounds(rows)
+
+
+def _parent_prefix_counts(a, depth):
+    """Forward path counting from the start state: each step scatters every
+    state's count onto its targets, and count(r) sums the vector."""
+    vec = [0] * a.num_states
+    vec[0] = 1
+    counts = []
+    for _ in range(depth):
+        nxt = [0] * a.num_states
+        for i, count in enumerate(vec):
+            if count:
+                for t in a.transitions[i]:
+                    if t is not None:
+                        nxt[t] += count
+        vec = nxt
+        counts.append(sum(vec))
+    return tuple(counts)
+
+
+def _seeded_sets():
+    """Special sets, 40 seeded pairs {1, M} with M <= 10^4 and 20 seeded
+    triples {1, a, b} with a, b <= 400."""
+    rng = random.Random(26)
+    sets = [[1], [1, 2], [1, 5], [1, 4981], [1, 4, 256], [1, 10, 28]]
+    while len(sets) < 46:
+        m = rng.randrange(2, 10**4 + 1)
+        if m % 3:
+            sets.append([1, m])
+    while len(sets) < 66:
+        sets.append([1, rng.randrange(2, 401), rng.randrange(2, 401)])
+    return sets
+
+
+def test_power_steps_on_a_overlap_the_parent_enclosures():
+    for mults in _seeded_sets():
+        for rows in growth_components(trim(build_automaton(mults))):
+            lo, hi, converged = _cw_bounds(rows)
+            old_lo, old_hi, _ = _parent_cw_bounds(rows)
+            assert lo <= old_hi and old_lo <= hi, mults
+            assert converged and hi - lo <= TARGET_WIDTH, mults
+
+
+def test_backward_prefix_counts_match_the_forward_scatter():
+    # the untrimmed machines have dead digits, and {1, 4, 256} has dead
+    # states (trimming keeps 6 of its 10): the backward count reads both as 0
+    assert trim(build_automaton([1, 4, 256])).num_states == 6
+    for mults in _seeded_sets():
+        built = build_automaton(mults)
+        for machine in (built, trim(built)):
+            assert prefix_counts(machine, 60) == _parent_prefix_counts(machine, 60), mults
+
+
+def test_imprimitive_components_iterate_a_plus_i():
+    # {1, 4981} has a growth component of 18 states and period 2 beside a
+    # primitive one of 190; the rows [[1, 2], [0], [0]] have period 2 and
+    # rho = sqrt(2)
+    growth = growth_components(trim(build_automaton([1, 4981])))
+    assert [(len(rows), _period(rows)) for rows in growth] == [(18, 2), (190, 1)]
+    rows_4981 = growth[0]
+    for rows in (rows_4981, [[1, 2], [0], [0]]):
+        assert _period(rows) == 2
+        assert _seed(rows) is not None
+        lo, hi, converged = _cw_bounds(rows)
+        assert converged and hi - lo <= TARGET_WIDTH
+    assert lo**2 <= 2 <= hi**2
+    # -rho is an eigenvalue of A too, so A alone keeps oscillating from all
+    # ones (on {1, 4981} all ones happens to have no -rho part)
+    assert _float_seed([[1, 2], [0], [0]], 1) is None
+    assert _period([[0, 1], [0]]) == 1

@@ -31,6 +31,7 @@ from ternpow.cantor.search import (
     _classify_normalized,
     _distances,
     _is_flush_state,
+    _steps_back,
 )
 
 from conftest import mp_fraction
@@ -487,11 +488,18 @@ def test_pair_carry_distances_are_the_exact_step_layers(m):
 @given(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=3))
 def test_distances_are_the_exact_step_layers_for_triples(ms):
     a = build_automaton(ms)
-    dist, order, preds = _distances(a.transitions)
+    trans = a.transitions
+    dist, order = _distances(trans)
     assert sorted(order) == list(range(a.num_states))
-    for t in range(a.num_states):
-        want = [u for u in range(a.num_states) for v in a.transitions[u] if v == t]
-        assert sorted(preds[t]) == want, t
+    # the back-steps below every witness length, up to all of them
+    for length in range(1, max(dist) + 3):
+        back = _steps_back(trans, order, dist, length)
+        for t in range(a.num_states):
+            for d in (0, 1):
+                want = [
+                    u for u in range(a.num_states) if trans[u][d] == t and dist[u] < length - 1
+                ]
+                assert sorted(back(t, d)) == want, (length, t, d)
     assert [dist[u] for u in order] == sorted(dist)
     _assert_layers_are_distance_balls(a, dist)
 
