@@ -127,18 +127,16 @@ def criterion_3_residue_structure() -> CriterionResult:
 
 
 def criterion_4_three_distance() -> CriterionResult:
-    """Closed-form arc spectra match a brute orbit sweep for all N <= 2000."""
+    """Closed-form arc spectra equal a brute orbit sweep for all N <= 2000."""
     t0 = time.perf_counter()
     cf = cf_log3_2(14)
-    prec = 256
     ok = True
     bad: list[str] = []
     for offset in (0, Fraction(3, 10)):
-        sweep = BruteRotationGaps(cf, offset, prec)
+        sweep = BruteRotationGaps(cf, offset)
         for n_points in range(1, 2001):
             sweep.advance()
-            spec = three_gap(cf, offset, n_points, prec)
-            if len(spec.items) > 3 or not sweep.matches_formula(spec, tol_ulps=3):
+            if not sweep.matches_formula(three_gap(cf, offset, n_points)):
                 ok = False
                 bad.append(f"N={n_points} offset={offset}")
                 if len(bad) > 3:
@@ -151,12 +149,12 @@ def criterion_4_three_distance() -> CriterionResult:
             continue
         if cf.q(n + 1) - 1 > 2000:
             break
-        two_len.append(special_two_length(cf, n, prec))
+        two_len.append(special_two_length(cf, n))
     ok &= all(two_len) and len(two_len) >= 5
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     detail = (
-        f"2 offsets x 2000 sweeps, 3-ulp match; {len(two_len)} two-length cases"
+        f"2 offsets x 2000 sweeps, exact match; {len(two_len)} two-length cases"
         + (f"; mismatches {bad}" if bad else "")
     )
     return CriterionResult(4, "three-distance", ok, detail, elapsed)

@@ -19,14 +19,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-
-from mpmath import mp
 
 from . import acceptance
 from .cantor import (
@@ -43,7 +40,8 @@ from .cantor.dimension import DEFAULT_PREFIX_DEPTH, MAX_PREFIX_DEPTH
 from .cantor.search import DEFAULT_SCAN_LIMIT
 from .errors import TernpowError
 from .orbit import cf_log3_2, check_lemma22, construct_theorem12, theorem11_census, three_gap
-from .orbit.gaps import DEFAULT_GAP_PRECISION, MAX_BRUTE_N, three_gap_bruteforce
+from .orbit.cf import MAX_CF_DEPTH
+from .orbit.gaps import MAX_BRUTE_N, MAX_GAP_N, three_gap_bruteforce
 from .orbit.leading import MAX_CENSUS_X
 from .precision import DEFAULT_PRECISION_CAP, MIN_PRECISION
 from .sieve import MAX_SIEVE_X, narkiewicz_check, sieve_report, survivors_N
@@ -64,8 +62,6 @@ def _serialize(value):
         return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, 40)
     if is_dataclass(value):
         return {f.name: _serialize(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
@@ -203,16 +199,13 @@ def _build_parser() -> _Parser:
         prog="ternpow",
         description="Exact experiments on ternary digit expansions of powers of two.",
     )
-    # the environment is read once, here; argparse parses a string default
-    # like a typed value, so a bad one is a usage error
     parser.add_argument(
         "--precision-cap",
         type=_int_at_least(MIN_PRECISION),
-        default=os.environ.get("TERNARY_PRECISION_CAP") or str(DEFAULT_PRECISION_CAP),
-        help="bits ceiling for certified interval escalation (default: "
-        "TERNARY_PRECISION_CAP, read once at start-up, else "
-        f"{DEFAULT_PRECISION_CAP}; minimum {MIN_PRECISION}; a bad value is a "
-        "usage error); verify runs at the library default",
+        default=DEFAULT_PRECISION_CAP,
+        help="bits ceiling for certified interval escalation (default "
+        f"{DEFAULT_PRECISION_CAP}, minimum {MIN_PRECISION}); verify runs at the "
+        "library default",
     )
     parser.add_argument(
         "--state-limit",
@@ -248,13 +241,24 @@ def _build_parser() -> _Parser:
         help="continued fraction of log3(2) with exact convergents",
         description="JSON only; convergents as [p, q] decimal-string pairs.",
     )
-    p.add_argument("--depth", type=_int_at_least(1), required=True, metavar="D")
+    p.add_argument(
+        "--depth",
+        type=_int_at_least(1, at_most=MAX_CF_DEPTH),
+        required=True,
+        metavar="D",
+        help=f"number of partial quotients, at most {MAX_CF_DEPTH}",
+    )
 
     p = sub.add_parser(
         "three-gap",
         help="arc-length spectrum of the rotation orbit at N points",
     )
-    p.add_argument("--N", type=_int_at_least(1), required=True)
+    p.add_argument(
+        "--N",
+        type=_int_at_least(1, at_most=MAX_GAP_N),
+        required=True,
+        help="the orbit has N + 1 points; N at most 10^1000",
+    )
     p.add_argument(
         "--offset",
         type=_parse_offset,
@@ -265,12 +269,6 @@ def _build_parser() -> _Parser:
         "--brute-check",
         action="store_true",
         help=f"also sort the points directly; needs N <= {MAX_BRUTE_N}",
-    )
-    p.add_argument(
-        "--prec",
-        type=_int_at_least(MIN_PRECISION),
-        default=DEFAULT_GAP_PRECISION,
-        help="working precision in bits; at most --precision-cap",
     )
 
     p = sub.add_parser(
@@ -427,17 +425,18 @@ def _cmd_three_gap(args) -> str:
     while cf.q(cf.depth) + cf.q(cf.depth - 1) <= args.N:
         depth *= 2
         cf = cf_log3_2(depth, cap=args.precision_cap)
-    spec = three_gap(cf, offset, args.N, args.prec)
+    spec = three_gap(cf, offset, args.N, cap=args.precision_cap)
+    arcs = zip(spec.bounds, spec.multiplicities)
     results = {
         "N": args.N,
         "offset": str(offset),
-        "prec": args.prec,
-        "arcs": [{"length": L, "multiplicity": m} for L, m in spec.items],
+        "prec": spec.prec,
+        "arcs": [{"lo": lo, "hi": hi, "multiplicity": m} for (lo, hi), m in arcs],
         "ladder": {"n": spec.n, "j": spec.j, "k": spec.k},
-        "labeled": [{"length": L, "multiplicity": m} for L, m in spec.labeled],
+        "labeled": [{"lo": lo, "hi": hi, "multiplicity": m} for (lo, hi), m in spec.labeled],
     }
     if args.brute_check:
-        brute = three_gap_bruteforce(cf, offset, args.N, args.prec)
+        brute = three_gap_bruteforce(cf, offset, args.N, spec.prec)
         results["brute_match"] = spec.matches(brute)
     return _emit_report(
         "three-gap",
@@ -446,6 +445,8 @@ def _cmd_three_gap(args) -> str:
         [
             "N+1 orbit points of x + j*theta mod 1 leave at most three distinct "
             "arc lengths, the longest equal to the sum of the other two",
+            "lo and hi are a length's exact values at the ends of a certified "
+            "prec-bit bracket of theta; brute_match sorts the orbit at the lower end",
         ],
     )
 
@@ -596,10 +597,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     args = _PARSER.parse_args(argv)
     if args.command == "three-gap" and args.brute_check and args.N > MAX_BRUTE_N:
         _PARSER.error(f"three-gap --brute-check needs --N <= {MAX_BRUTE_N}, got {args.N}")
-    if args.command == "three-gap" and args.prec > args.precision_cap:
-        _PARSER.error(
-            f"three-gap --prec must be <= --precision-cap {args.precision_cap}, got {args.prec}"
-        )
     return args
 
 

@@ -18,6 +18,10 @@ from fractions import Fraction
 
 from ..precision import DEFAULT_PRECISION_CAP, alpha0_bounds, escalate, power_le
 
+# the deepest expansion the CLI accepts: q_8000 has about 4120 decimal
+# digits, inside the 4300-digit limit of Python's int-to-str conversion that
+# printing the convergents goes through (q_8356 passes it)
+MAX_CF_DEPTH = 8000
 
 @dataclass(frozen=True)
 class CFExpansion:

@@ -11,12 +11,12 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 from ternpow import acceptance, hausdorff_dimension, scan_problems
 from ternpow.cli import _INLINE_INT_LIMIT, _parse_args, _serialize, dispatch, main
 from ternpow.errors import PrecisionError
-from ternpow.orbit.gaps import MAX_BRUTE_N
+from ternpow.orbit.cf import MAX_CF_DEPTH
+from ternpow.orbit.gaps import MAX_BRUTE_N, MAX_GAP_N
 from ternpow.orbit.leading import MAX_CENSUS_X
 from ternpow.sieve import MAX_SIEVE_X
 
@@ -136,7 +136,7 @@ def test_search_and_brute_bounds_are_inclusive():
     assert _parse_args(["three-gap", "--N", str(MAX_BRUTE_N), "--brute-check"]).N == MAX_BRUTE_N
     assert _parse_args(["sieve", "--max-exponent", str(MAX_SIEVE_X)]).max_exponent == MAX_SIEVE_X
     assert _parse_args(["census", "--lambda", "1", "--max", str(MAX_CENSUS_X)]).max_x == MAX_CENSUS_X
-    # the formula alone has no bound on N
+    # the formula alone takes N far past the brute-force bound
     big = _run(["three-gap", "--N", str(10**15)])
     assert big["results"]["N"] == 10**15
 
@@ -271,6 +271,7 @@ def test_computation_errors_exit_two(capsys):
         ["census", "--lambda", "1", "--max", "1" + "0" * 19],
         ["construct", "--levels", "1", "--digit-policy", "random"],
         ["--seed", "9", "construct", "--levels", "1"],
+        ["three-gap", "--N", str(MAX_GAP_N + 1)],
     ],
 )
 def test_invalid_input_is_usage_error(argv, capsys):
@@ -284,6 +285,39 @@ def test_invalid_input_is_usage_error(argv, capsys):
 def test_sieve_residue_depth_is_not_an_option(capsys):
     assert main(["sieve", "--max-exponent", "10", "--residue-depth", "5"]) == 1
     assert "unrecognized arguments: --residue-depth" in capsys.readouterr().err
+
+
+def test_three_gap_precision_is_not_an_option(capsys):
+    # escalation sets the precision of the enclosures
+    assert main(["three-gap", "--N", "10", "--prec", "512"]) == 1
+    assert "unrecognized arguments: --prec" in capsys.readouterr().err
+
+
+def test_three_gap_at_its_bound_prints_every_enclosure():
+    # 8192 bits certify the arcs up to about N = 10^1233; their denominators
+    # have 2467 digits, inside the int-to-str limit that 16384 bits would pass
+    text, code = dispatch(["three-gap", "--N", str(MAX_GAP_N)])
+    assert code == 0
+    res = _strict_json(text)["results"]
+    assert res["prec"] == 8192
+    assert len(res["arcs"]) == 3
+    for arc in res["labeled"]:
+        lo, hi = Fraction(arc["lo"]), Fraction(arc["hi"])
+        assert 0 < lo < hi and 2**8192 % lo.denominator == 2**8192 % hi.denominator == 0
+
+
+def test_cf_depth_at_its_bound_prints_every_convergent(capsys):
+    # q_8000 has 4122 decimal digits; from depth 8356 on, printing would pass
+    # the 4300-digit limit of int-to-str conversion
+    text, code = dispatch(["cf", "--depth", str(MAX_CF_DEPTH)])
+    assert code == 0
+    res = _strict_json(text)["results"]
+    assert len(res["convergents"]) == MAX_CF_DEPTH + 1
+    assert len(res["convergents"][-1][1]) == 4122
+    assert main(["cf", "--depth", str(MAX_CF_DEPTH + 1)]) == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "--depth" in captured.err
+    assert captured.out == ""
 
 
 def _strict_json(text):
@@ -374,29 +408,41 @@ def _cli_subprocess(argv, **env):
     )
 
 
+# TERNARY_PRECISION_CAP once defaulted --precision-cap; these two tests keep
+# their names and assert that stdout now depends on argv alone: a bad cap is a
+# usage error only as the flag, and the variable changes nothing.
 @pytest.mark.parametrize("cap", ["abc", "100"])
 @pytest.mark.parametrize("argv", [["cf", "--depth", "3"], ["scan", "--max-M", "5"]])
 def test_bad_cap_variable_is_usage_error(cap, argv):
-    proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP=cap)
+    proc = _cli_subprocess(["--precision-cap", cap, *argv])
     assert proc.returncode == 1
     assert "usage:" in proc.stderr and "--precision-cap" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    plain = _cli_subprocess(argv)
+    assert plain.returncode == 0
+    proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP=cap)
+    assert (proc.stdout, proc.returncode) == (plain.stdout, 0)
 
 
 def test_cap_variable_is_the_flag_default():
-    # an empty value counts as unset; a set value caps like the flag, which
-    # overrides it
-    proc = _cli_subprocess(["cf", "--depth", "79"], TERNARY_PRECISION_CAP="")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["config"]["precision_cap"] == 65536
-    proc = _cli_subprocess(["cf", "--depth", "79"], TERNARY_PRECISION_CAP="256")
-    assert proc.returncode == 2
-    assert "PrecisionError" in proc.stderr
-    argv = ["--precision-cap", "512", "cf", "--depth", "79"]
-    proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP="256")
+    # the flag's default is 65536 whatever the variable holds, low or empty
+    # (a cap of 256 bits certifies the continued fraction only to depth 78),
+    # and the flag alone sets the cap
+    argv = ["cf", "--depth", "79"]
+    plain = _cli_subprocess(argv)
+    assert plain.returncode == 0
+    assert json.loads(plain.stdout)["config"]["precision_cap"] == 65536
+    for cap in ("256", ""):
+        proc = _cli_subprocess(argv, TERNARY_PRECISION_CAP=cap)
+        assert (proc.stdout, proc.returncode) == (plain.stdout, 0), cap
+    flagged = ["--precision-cap", "512", *argv]
+    proc = _cli_subprocess(flagged, TERNARY_PRECISION_CAP="256")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]["precision_cap"] == 512
+    proc = _cli_subprocess(["--precision-cap", "256", *argv], TERNARY_PRECISION_CAP="512")
+    assert proc.returncode == 2
+    assert "PrecisionError" in proc.stderr
 
 
 def test_dispatch_leaves_the_environment_alone():
@@ -428,8 +474,6 @@ def _asdict_serialize(value):
         return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, 40)
     if is_dataclass(value):
         return {k: _asdict_serialize(v) for k, v in asdict(value).items()}
     if isinstance(value, dict):
@@ -464,8 +508,9 @@ PINNED_STDOUT = {
         "b13ef0231a80cf9b1a712eeb87579fc3ec131732ebb9810dae2359c45fd95d24",
     ("construct", "--levels", "1", "--digit-policy", "max"):
         "1f8885782be92f830ac4e76a7108cd5ee8acf0ab6787c7743db75b2f001be7a8",
+    # re-recorded when the arcs became exact lo/hi enclosures
     ("three-gap", "--N", "123456789", "--offset", "3/97"):
-        "c3fc6001bbc75da51b70b8264adfba74985f67778c3b67a81949ad8bcaa85799",
+        "8b4783d734ce0b9cb0ffb9ef179e8639bb7b5f28cd42ede995d64dab90646868",
     ("dimension", "--multipliers", "1,7"):
         "624dc24279eae66b5d66a1e568fa682e75ae7fe20551aec603f76132d10f338e",
     ("dimension", "--multipliers", "1,7", "--exact-charpoly"):

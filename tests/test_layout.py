@@ -17,19 +17,21 @@ import ternpow.cantor.search
 import ternpow.cli
 import ternpow.orbit
 import ternpow.orbit.construction
+import ternpow.orbit.gaps
 import ternpow.precision
 import ternpow.sieve
 import ternpow.ternary
 
 PACKAGE = Path(ternpow.precision.__file__).parent
 
-# certified enclosures are integer series in precision.py; gaps.py keeps its
-# float sweep and cli.py its mpf serializer until the three-gap spectrum is
-# exact.  The characteristic polynomial is integer arithmetic in
-# cantor/dimension.py, so sympy is a test oracle only, and numpy is not a
-# declared dependency: no module may import either.
+# certified enclosures are integer series in precision.py, and the three-gap
+# enclosures integer expressions of them; gaps.py keeps mpmath only for the
+# exact dyadic points of its brute-force sweep.  The characteristic
+# polynomial is integer arithmetic in cantor/dimension.py, so sympy is a test
+# oracle only, and numpy is not a declared dependency: no module may import
+# either.
 ALLOWED = {
-    "mpmath": {"orbit/gaps.py", "cli.py"},
+    "mpmath": {"orbit/gaps.py"},
     "sympy": set(),
     "numpy": set(),
 }
@@ -58,7 +60,7 @@ def test_numeric_libraries_stay_behind_their_modules():
         for lib in ALLOWED:
             if lib in roots:
                 importers[lib].add(path.relative_to(PACKAGE).as_posix())
-    assert "cli.py" in importers["mpmath"]  # the walk sees imports
+    assert "orbit/gaps.py" in importers["mpmath"]  # the walk sees imports
     for lib, allowed in ALLOWED.items():
         assert importers[lib] <= allowed, lib
     # and no module reads mpmath's private float or interval tuples
@@ -95,6 +97,12 @@ def test_precision_exports_no_interval_objects():
         "_fraction_to_iv",
     ):
         assert not hasattr(ternpow.precision, name), name
+
+
+def test_gaps_exports_no_float_helpers():
+    # the spectrum is exact: no rounded theta, ulp tolerance or fixed precision
+    for name in ("alpha0_mpf", "ulp", "DEFAULT_GAP_PRECISION"):
+        assert not hasattr(ternpow.orbit.gaps, name), name
 
 
 def _uses(path: Path, module: str, names: set[str]) -> list[int]:
@@ -148,19 +156,20 @@ def test_scan_reads_growth_from_the_built_machine():
     assert not names & {"trim", "growth_components"}
 
 
-# settings reach a command through argv only; cli.py reads the one variable
-# that defaults --precision-cap
+# settings reach a command through argv only: no module reads a variable
 _ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
 
 
-def test_only_the_cli_reads_the_environment():
+def test_no_module_reads_the_environment(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\ncap = os.environ.get('CAP')\n")
+    assert _uses(probe, "os", _ENVIRONMENT_NAMES) == [2]  # the walk sees os.environ
     readers = {
         path.relative_to(PACKAGE).as_posix(): lines
         for path in PACKAGE.rglob("*.py")
         if (lines := _uses(path, "os", _ENVIRONMENT_NAMES))
     }
-    assert "cli.py" in readers  # the walk sees os.environ
-    assert set(readers) == {"cli.py"}, readers
+    assert readers == {}
 
 
 def test_sieve_exports_no_chain_memo():
